@@ -22,7 +22,7 @@
 #include <string>
 #include <vector>
 
-#include "apsp/solvers/ksource_blocked.h"
+#include "apsp/api.h"
 #include "bench_util.h"
 #include "common/rng.h"
 #include "common/time_utils.h"
@@ -207,23 +207,20 @@ std::vector<KsResult> RunSolveRace() {
               "speedup", "driver-peak", "valid");
   double naive_seconds = 0;
   for (const Combo& combo : combos) {
-    apsp::KsourceOptions opts;
-    opts.block_size = b;
-    opts.variant = combo.plane;
-    auto cluster = sparklet::ClusterConfig::TinyTest();
-    cluster.local_storage_bytes = 16ULL * kGiB;
-    cluster.kernel_variant = combo.kernel;
-    apsp::KsourceBlockedSolver solver;
+    apsp::SolveRequest request;
+    request.options.block_size = b;
+    request.options.variant = combo.plane;
+    request.sources = sources;
+    request.cluster.local_storage_bytes = 16ULL * kGiB;
+    request.cluster.kernel_variant = combo.kernel;
     KsResult r;
     r.section = "solve";
     r.variant = linalg::KernelVariantName(combo.kernel);
     r.data_plane = apsp::KsourceVariantName(combo.plane);
     r.b = b;
     r.k = k;
-    apsp::KsourceResult solve_result;
-    r.seconds = BestOf(2, [&] {
-      solve_result = solver.SolveGraph(g, sources, opts, cluster);
-    });
+    apsp::ApspRunResult solve_result;
+    r.seconds = BestOf(2, [&] { solve_result = apsp::Solve(g, request).run; });
     if (combo.kernel == linalg::KernelVariant::kNaive) {
       naive_seconds = r.seconds;
     }
@@ -283,18 +280,17 @@ std::vector<KsResult> RunFaultRecoveryRace() {
   for (const apsp::KsourceVariant plane :
        {apsp::KsourceVariant::kStagedStorage,
         apsp::KsourceVariant::kShuffleReplicated}) {
-    apsp::KsourceOptions opts;
-    opts.block_size = b;
-    opts.variant = plane;
-    opts.fail_nodes = {{1, 10}};
+    apsp::SolveRequest request;
+    request.options.block_size = b;
+    request.options.variant = plane;
+    request.options.fail_nodes = {{1, 10}};
     if (plane == apsp::KsourceVariant::kStagedStorage) {
-      opts.checkpoint_every = 1;
+      request.options.checkpoint_every = 1;
     }
-    auto cluster = sparklet::ClusterConfig::TinyTest();
-    cluster.local_storage_bytes = 16ULL * kGiB;
-    apsp::KsourceBlockedSolver solver;
+    request.sources = sources;
+    request.cluster.local_storage_bytes = 16ULL * kGiB;
     WallTimer timer;
-    auto solve_result = solver.SolveGraph(g, sources, opts, cluster);
+    const apsp::ApspRunResult solve_result = apsp::Solve(g, request).run;
     KsResult r;
     r.section = "fault";
     r.variant = "tiled";

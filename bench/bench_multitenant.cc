@@ -27,7 +27,7 @@
 #include <string>
 #include <vector>
 
-#include "apsp/solvers/ksource_blocked.h"
+#include "apsp/api.h"
 #include "bench_util.h"
 #include "common/time_utils.h"
 #include "graph/generators.h"
@@ -40,8 +40,6 @@ namespace {
 
 using namespace apspark;
 using apsp::BlockLayout;
-using apsp::KsourceBlockedSolver;
-using apsp::KsourceOptions;
 using apsp::KsourceVariant;
 using linalg::DenseBlock;
 using sparklet::ClusterConfig;
@@ -74,30 +72,27 @@ struct SoloRun {
 };
 
 /// Solo tenant run under a rack loss + replacement join, stage trace on.
-/// Mirrors KsourceBlockedSolver::SolveGraph, which owns its context — the
-/// trace needs a caller-owned one.
+/// The trace needs a caller-owned context, hence the context entry point.
 SoloRun RunSolo(const graph::Graph& g,
                 const std::vector<graph::VertexId>& sources,
                 KsourceVariant variant, const DenseBlock& oracle) {
   SoloRun run;
   run.plane = apsp::KsourceVariantName(variant);
-  KsourceOptions opts;
+  apsp::SolveRequest request;
+  request.sources = sources;
+  auto& opts = request.options;
   opts.block_size = kBlock;
   opts.variant = variant;
   opts.fail_racks = {{0, 12}};
   opts.add_nodes = {16};
-  if (!KsourceBlockedSolver::Pure(variant)) opts.checkpoint_every = 2;
+  if (!apsp::KsourceVariantPure(variant)) opts.checkpoint_every = 2;
 
   const BlockLayout layout(g.num_vertices(), opts.block_size, g.directed());
-  const DenseBlock frontier = linalg::FrontierPanel(
-      g.num_vertices(),
-      std::vector<std::int64_t>(sources.begin(), sources.end()));
   SparkletContext ctx(TenantCluster());
   ctx.cluster().EnableStageTrace();
-  KsourceBlockedSolver solver;
-  auto result =
-      solver.Solve(ctx, layout, layout.Decompose(g.ToDenseAdjacency()),
-                   apsp::DecomposeFrontier(layout, frontier), opts);
+  const apsp::ApspRunResult result =
+      apsp::Solve(ctx, layout, layout.Decompose(g.ToDenseAdjacency()), request)
+          .run;
   if (!result.status.ok()) {
     std::fprintf(stderr, "%s solo run failed: %s\n", run.plane.c_str(),
                  result.status.ToString().c_str());

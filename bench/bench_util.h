@@ -5,7 +5,7 @@
 #include <cstdlib>
 #include <string>
 
-#include "apsp/solver.h"
+#include "apsp/api.h"
 #include "common/time_utils.h"
 #include "obs/trace.h"
 

@@ -10,7 +10,7 @@
 #include <string>
 #include <vector>
 
-#include "apsp/solver.h"
+#include "apsp/api.h"
 #include "common/time_utils.h"
 
 int main(int argc, char** argv) {
@@ -30,16 +30,18 @@ int main(int argc, char** argv) {
 
   for (auto kind : {apsp::SolverKind::kBlockedInMemory,
                     apsp::SolverKind::kBlockedCollectBroadcast}) {
-    auto solver = apsp::MakeSolver(kind);
+    const std::string name = apsp::SolverKindName(kind);
     for (std::int64_t b : {512LL, 1024LL, 1536LL, 2048LL, 3072LL}) {
       if (b >= n) continue;
       for (auto part : {apsp::PartitionerKind::kMultiDiagonal,
                         apsp::PartitionerKind::kPortableHash}) {
-        apsp::ApspOptions options;
-        options.block_size = b;
-        options.partitioner = part;
-        options.max_rounds = 1;  // one simulated round, then project
-        auto result = solver->SolveModel(n, options, cluster);
+        apsp::SolveRequest request;
+        request.solver = kind;
+        request.options.block_size = b;
+        request.options.partitioner = part;
+        request.options.max_rounds = 1;  // one simulated round, then project
+        request.cluster = cluster;
+        const apsp::ApspRunResult result = apsp::SolveModel(n, request).run;
         std::string projected;
         if (!result.status.ok() || result.projected_storage_exceeded) {
           projected = "infeasible";
@@ -47,15 +49,16 @@ int main(int argc, char** argv) {
           projected = FormatDuration(result.projected_seconds);
           if (result.projected_seconds < best.seconds) {
             best.seconds = result.projected_seconds;
-            best.description = solver->name() + ", b = " + std::to_string(b) +
+            best.description = name + ", b = " + std::to_string(b) +
                                ", " + apsp::PartitionerKindName(part) +
                                " partitioner" +
-                               (solver->pure() ? " (fault-tolerant)"
-                                               : " (NOT fault-tolerant)");
+                               (apsp::SolverKindPure(kind)
+                                    ? " (fault-tolerant)"
+                                    : " (NOT fault-tolerant)");
           }
         }
         std::printf("%-14s %-6lld %-4s %12s %14s %12s\n",
-                    solver->name().c_str(), static_cast<long long>(b),
+                    name.c_str(), static_cast<long long>(b),
                     apsp::PartitionerKindName(part),
                     FormatDuration(result.SecondsPerRound()).c_str(),
                     projected.c_str(),

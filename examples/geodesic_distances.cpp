@@ -11,7 +11,7 @@
 #include <cmath>
 #include <cstdio>
 
-#include "apsp/solver.h"
+#include "apsp/api.h"
 #include "graph/generators.h"
 
 int main() {
@@ -22,17 +22,16 @@ int main() {
   const graph::Graph knn = graph::KnnGraph(points, /*k=*/10);
   std::printf("kNN graph: %s\n", knn.Summary().c_str());
 
-  apsp::ApspOptions options;
-  options.block_size = 100;
-  auto cluster = sparklet::ClusterConfig::TinyTest();
-  cluster.local_storage_bytes = 16ULL * kGiB;
-  auto solver = apsp::MakeSolver(apsp::SolverKind::kBlockedInMemory);
-  auto result = solver->SolveGraph(knn, options, cluster);
-  if (!result.status.ok()) {
-    std::printf("solve failed: %s\n", result.status.ToString().c_str());
+  apsp::SolveRequest request;
+  request.solver = apsp::SolverKind::kBlockedInMemory;
+  request.options.block_size = 100;
+  request.cluster.local_storage_bytes = 16ULL * kGiB;
+  const apsp::SolveReport report = apsp::Solve(knn, request);
+  if (!report.ok()) {
+    std::printf("solve failed: %s\n", report.status().ToString().c_str());
     return 1;
   }
-  const auto& geo = *result.distances;
+  const auto& geo = *report.distances();
 
   auto euclid = [&](std::int64_t a, std::int64_t b) {
     double s = 0;

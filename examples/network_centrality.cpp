@@ -10,7 +10,7 @@
 #include <cstdio>
 #include <vector>
 
-#include "apsp/solver.h"
+#include "apsp/api.h"
 #include "graph/generators.h"
 
 int main() {
@@ -29,20 +29,19 @@ int main() {
   ctx.fault_injector().FailTask("fw2d-update", 1, 2);
   ctx.fault_injector().FailTask("fw2d-extract", 0, 1);
 
-  apsp::ApspOptions options;
-  options.block_size = 50;
-  auto solver = apsp::MakeSolver(apsp::SolverKind::kFloydWarshall2d);
-  auto result = solver->Solve(ctx, layout,
-                              layout.Decompose(g.ToDenseAdjacency()), options);
-  if (!result.status.ok()) {
-    std::printf("solve failed: %s\n", result.status.ToString().c_str());
+  apsp::SolveRequest request;
+  request.solver = apsp::SolverKind::kFloydWarshall2d;
+  const apsp::SolveReport report = apsp::Solve(
+      ctx, layout, layout.Decompose(g.ToDenseAdjacency()), request);
+  if (!report.ok()) {
+    std::printf("solve failed: %s\n", report.status().ToString().c_str());
     return 1;
   }
   std::printf("survived %llu injected task failures (pure solver, lineage "
               "recomputation)\n",
               static_cast<unsigned long long>(ctx.metrics().task_failures));
 
-  const auto& d = *result.distances;
+  const auto& d = *report.distances();
   struct Row {
     std::int64_t vertex;
     double closeness;

@@ -7,7 +7,7 @@
 #include <cmath>
 #include <cstdio>
 
-#include "apsp/solver.h"
+#include "apsp/api.h"
 #include "common/time_utils.h"
 #include "graph/generators.h"
 
@@ -20,23 +20,24 @@ int main() {
   std::printf("input: %s\n", g.Summary().c_str());
 
   // 2. Configure the solver: block size b, partitioner, over-decomposition.
-  apsp::ApspOptions options;
-  options.block_size = 64;  // q = ceil(n/b) = 4 blocks per dimension
-  options.partitioner = apsp::PartitionerKind::kMultiDiagonal;
-  options.partitions_per_core = 2;
+  apsp::SolveRequest request;
+  request.solver = apsp::SolverKind::kBlockedCollectBroadcast;
+  request.options.block_size = 64;  // q = ceil(n/b) = 4 blocks per dimension
+  request.options.partitioner = apsp::PartitionerKind::kMultiDiagonal;
+  request.options.partitions_per_core = 2;
 
   // 3. Pick a virtual cluster to model. TinyTest() is enough for a demo;
   //    ClusterConfig::Paper() models the 32-node/1024-core testbed.
-  auto cluster = sparklet::ClusterConfig::TinyTest();
-  cluster.local_storage_bytes = 16ULL * kGiB;
+  request.cluster = sparklet::ClusterConfig::TinyTest();
+  request.cluster.local_storage_bytes = 16ULL * kGiB;
 
   // 4. Solve.
-  auto solver = apsp::MakeSolver(apsp::SolverKind::kBlockedCollectBroadcast);
-  auto result = solver->SolveGraph(g, options, cluster);
-  if (!result.status.ok()) {
-    std::printf("solve failed: %s\n", result.status.ToString().c_str());
+  const apsp::SolveReport report = apsp::Solve(g, request);
+  if (!report.ok()) {
+    std::printf("solve failed: %s\n", report.status().ToString().c_str());
     return 1;
   }
+  const apsp::ApspRunResult& result = report.run;
 
   // 5. Use the distances.
   const auto& d = *result.distances;
@@ -58,8 +59,8 @@ int main() {
               static_cast<long long>(finite_pairs));
 
   // 6. What the virtual cluster saw.
-  std::printf("solver: %s (%s)\n", solver->name().c_str(),
-              solver->pure() ? "pure" : "impure");
+  std::printf("solver: %s (%s)\n", report.solver_name.c_str(),
+              report.pure ? "pure" : "impure");
   std::printf("rounds: %lld, simulated time %s\n",
               static_cast<long long>(result.rounds_executed),
               FormatDuration(result.sim_seconds).c_str());

@@ -7,13 +7,24 @@
 
 namespace apspark::apsp {
 
-BlockLayout::BlockLayout(std::int64_t n, std::int64_t block_size,
-                         bool directed)
-    : n_(n), b_(block_size), q_(CeilDiv(n, block_size)), directed_(directed) {
+namespace {
+
+/// Checked before CeilDiv runs: a zero block size would divide by zero.
+std::int64_t CheckedBlockCount(std::int64_t n, std::int64_t block_size) {
   if (n <= 0 || block_size <= 0) {
     throw std::invalid_argument("BlockLayout: n and block size must be > 0");
   }
+  return CeilDiv(n, block_size);
 }
+
+}  // namespace
+
+BlockLayout::BlockLayout(std::int64_t n, std::int64_t block_size,
+                         bool directed)
+    : n_(n),
+      b_(block_size),
+      q_(CheckedBlockCount(n, block_size)),
+      directed_(directed) {}
 
 std::int64_t BlockLayout::BlockDim(std::int64_t index) const noexcept {
   return std::min(b_, n_ - index * b_);

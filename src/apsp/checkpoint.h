@@ -6,7 +6,7 @@
 // as an extension — is coarse-grained checkpointing: every k rounds the
 // current matrix A (and, for the k-source workload, the frontier panels F)
 // is staged to the same shared storage, and after an executor loss the
-// restart path in ApspSolver::Solve / KsourceBlockedSolver::Solve resumes
+// restart path of the one attempt loop (RunSolve, apsp/solver.h) resumes
 // from the latest checkpoint epoch instead of from scratch. The staging cost
 // is charged to the virtual cluster like any other shared-FS traffic, so its
 // overhead is measurable; SaveCheckpoint also marks the durable-progress
@@ -47,21 +47,21 @@ Result<CheckpointInfo> LoadCheckpoint(sparklet::SparkletContext& ctx,
 /// True if a checkpoint exists in this context's shared storage.
 bool HasCheckpoint(sparklet::SparkletContext& ctx);
 
-/// One checkpoint-restart step of the DATA_LOSS recovery policy shared by
-/// the impure solvers (ApspSolver::Solve, KsourceBlockedSolver::Solve):
-/// accounts the progress the failure destroyed (since the last durable
-/// mark), loads the latest checkpoint when one exists, invokes `rebuild` to
-/// re-populate the solver's RDDs — with the loaded CheckpointInfo, or
-/// nullptr when restarting from the stable inputs — attributes the reload
-/// itself to recovery, and re-marks durable progress. Returns the round to
-/// resume from (`fallback_round` when no checkpoint exists).
+/// One checkpoint-restart step of the DATA_LOSS recovery policy RunSolve
+/// applies to every impure plane, APSP and KSSP alike: accounts the progress
+/// the failure destroyed (since the last durable mark), loads the latest
+/// checkpoint when one exists, invokes `rebuild` to re-populate the
+/// workload's RDDs — with the loaded CheckpointInfo, or nullptr when
+/// restarting from the stable inputs — attributes the reload itself to
+/// recovery, and re-marks durable progress. Returns the round to resume from
+/// (`fallback_round` when no checkpoint exists).
 Result<std::int64_t> RestartFromCheckpoint(
     sparklet::SparkletContext& ctx, const BlockLayout& layout,
     std::int64_t fallback_round,
     const std::function<void(const CheckpointInfo*)>& rebuild);
 
-/// Copies the failure/recovery counters from `live` into `reported`. Used
-/// by solvers whose reported metrics snapshot excludes the final assembly
+/// Copies the failure/recovery counters from `live` into `reported`. RunSolve
+/// uses it because its reported metrics snapshot excludes the final assembly
 /// collect: evidence of losses that fire *during* assembly must still reach
 /// the report.
 void FoldRecoveryMetrics(const sparklet::SimMetrics& live,

@@ -1,45 +1,99 @@
 #include "apsp/solver.h"
 
+#include <algorithm>
 #include <stdexcept>
 
-#include "apsp/checkpoint.h"
 #include "apsp/solvers/blocked_collect_broadcast.h"
 #include "apsp/solvers/blocked_inmemory.h"
 #include "apsp/solvers/floyd_warshall_2d.h"
 #include "apsp/solvers/repeated_squaring.h"
-#include "linalg/semiring.h"
+#include "linalg/kernel_registry.h"
 
 namespace apspark::apsp {
 
-ApspRunResult ApspSolver::SolveGraph(const graph::Graph& graph,
-                                     const ApspOptions& opts,
-                                     const sparklet::ClusterConfig& cluster,
-                                     const linalg::CostModel& model) {
-  const BlockLayout layout(graph.num_vertices(), opts.block_size,
-                           opts.directed || graph.directed());
-  // Ingest into the requested algebra: the graph's canonical min-plus
-  // adjacency becomes the semiring's matrix (bit-packed for boolean).
-  const linalg::DenseBlock adjacency = linalg::SemiringAdjacency(
-      graph.ToDenseAdjacency(), opts.semiring,
-      opts.semiring == linalg::SemiringId::kBoolean && opts.bitpack_boolean);
-  sparklet::SparkletContext ctx(cluster, model);
-  return Solve(ctx, layout, layout.Decompose(adjacency), opts);
+namespace {
+
+class ApspWorkload final : public Workload {
+ public:
+  ApspWorkload(const ApspSolver& solver, sparklet::SparkletContext& ctx,
+               const BlockLayout& layout,
+               const std::vector<BlockRecord>& blocks, const ApspOptions& opts)
+      : solver_(solver),
+        layout_(layout),
+        blocks_(blocks),
+        opts_(opts),
+        partitioner_(MakeBlockPartitioner(opts.partitioner, layout,
+                                          NumPartitions(ctx, opts))) {}
+
+  std::int64_t TotalRounds() const override {
+    return solver_.TotalRounds(layout_);
+  }
+
+  void Seed(sparklet::SparkletContext& ctx, const CheckpointInfo* checkpoint,
+            const std::string& tag) override {
+    final_.reset();
+    a_ = ctx.ParallelizePartitioned(
+        "A" + tag, checkpoint != nullptr ? checkpoint->blocks : blocks_,
+        partitioner_);
+  }
+
+  void RunRounds(sparklet::SparkletContext& ctx, std::int64_t first,
+                 std::int64_t end, std::int64_t& /*rounds_done*/) override {
+    final_ = solver_.RunRounds(ctx, layout_, a_, partitioner_, opts_, first,
+                               end - first);
+  }
+
+  Result<linalg::DenseBlock> CollectDistances() override {
+    return layout_.Assemble(final_->Collect());
+  }
+
+  bool ReportsAssemblyPeak() const override { return false; }
+
+ private:
+  const ApspSolver& solver_;
+  const BlockLayout& layout_;
+  const std::vector<BlockRecord>& blocks_;
+  const ApspOptions& opts_;
+  sparklet::PartitionerPtr<BlockKey> partitioner_;
+  sparklet::RddPtr<BlockRecord> a_;
+  sparklet::RddPtr<BlockRecord> final_;
+};
+
+}  // namespace
+
+const ApspSolver& SolverFor(SolverKind kind) {
+  static const RepeatedSquaringSolver repeated_squaring;
+  static const FloydWarshall2dSolver floyd_warshall_2d;
+  static const BlockedInMemorySolver blocked_inmemory;
+  static const BlockedCollectBroadcastSolver blocked_collect_broadcast;
+  switch (kind) {
+    case SolverKind::kRepeatedSquaring:
+      return repeated_squaring;
+    case SolverKind::kFloydWarshall2d:
+      return floyd_warshall_2d;
+    case SolverKind::kBlockedInMemory:
+      return blocked_inmemory;
+    case SolverKind::kBlockedCollectBroadcast:
+      return blocked_collect_broadcast;
+  }
+  throw std::invalid_argument("unknown solver kind");
 }
 
-ApspRunResult ApspSolver::SolveModel(std::int64_t n, const ApspOptions& opts,
-                                     const sparklet::ClusterConfig& cluster,
-                                     const linalg::CostModel& model) {
-  const BlockLayout layout(n, opts.block_size, opts.directed);
-  sparklet::SparkletContext ctx(cluster, model);
-  const bool packed =
-      opts.semiring == linalg::SemiringId::kBoolean && opts.bitpack_boolean;
-  return Solve(ctx, layout, layout.DecomposePhantom(packed), opts);
+int NumPartitions(const sparklet::SparkletContext& ctx,
+                  const ApspOptions& opts) {
+  return std::max(1, opts.partitions_per_core * ctx.config().total_cores());
 }
 
-ApspRunResult ApspSolver::Solve(sparklet::SparkletContext& ctx,
-                                const BlockLayout& layout,
-                                const std::vector<BlockRecord>& blocks,
-                                const ApspOptions& opts) {
+std::unique_ptr<Workload> MakeApspWorkload(
+    SolverKind kind, sparklet::SparkletContext& ctx, const BlockLayout& layout,
+    const std::vector<BlockRecord>& blocks, const ApspOptions& opts) {
+  return std::make_unique<ApspWorkload>(SolverFor(kind), ctx, layout, blocks,
+                                        opts);
+}
+
+ApspRunResult RunSolve(sparklet::SparkletContext& ctx,
+                       const BlockLayout& layout, const ApspOptions& opts,
+                       Workload& workload, bool phantom) {
   // Select the host kernel implementation for this run (restored on return
   // so one run's config cannot leak into other work in the process). This
   // only affects how fast real blocks are processed on this machine;
@@ -49,7 +103,7 @@ ApspRunResult ApspSolver::Solve(sparklet::SparkletContext& ctx,
   // fused updates, closures, element-wise folds — evaluates opts.semiring.
   linalg::ScopedSemiring semiring_scope(opts.semiring);
   ApspRunResult result;
-  result.rounds_total = TotalRounds(layout);
+  result.rounds_total = workload.TotalRounds();
   const std::int64_t rounds_remaining =
       std::max<std::int64_t>(0, result.rounds_total - opts.start_round);
   const std::int64_t rounds_to_run =
@@ -57,13 +111,8 @@ ApspRunResult ApspSolver::Solve(sparklet::SparkletContext& ctx,
                           : rounds_remaining;
   const std::int64_t end_round = opts.start_round + rounds_to_run;
 
-  const int num_partitions =
-      std::max(1, opts.partitions_per_core * ctx.config().total_cores());
-  auto partitioner =
-      MakeBlockPartitioner(opts.partitioner, layout, num_partitions);
-
-  auto a = ctx.ParallelizePartitioned("A", blocks, partitioner);
-  // The paper disregards the cost of populating the RDD (§5.1).
+  workload.Seed(ctx, nullptr, "");
+  // The paper disregards the cost of populating the RDDs (§5.1).
   ctx.cluster().Reset();
   // Arm injected executor losses; stage ordinals count from this Reset.
   for (const auto& plan : opts.fail_nodes) {
@@ -75,38 +124,36 @@ ApspRunResult ApspSolver::Solve(sparklet::SparkletContext& ctx,
   for (const std::int64_t at_stage : opts.add_nodes) {
     ctx.fault_injector().AddNode(at_stage);
   }
-  // The job start is durable (the input RDD recomputes from stable data):
-  // a restart without a checkpoint redoes everything from here, and the
+  // The job start is durable (the inputs recompute from stable data): a
+  // restart without a checkpoint redoes everything from here, and the
   // recovery accounting measures exactly that.
   ctx.cluster().NoteDurableMark();
 
-  // Whether the run ends with a driver-side assembly collect (completed
-  // real-data runs only). The collect runs inside the attempt loop so an
-  // executor loss firing during assembly goes through the same recovery.
-  const bool phantom = !blocks.empty() && blocks.front().second->is_phantom();
+  // Completed real-data runs end with a driver-side assembly collect. It
+  // runs inside the attempt loop so an executor loss firing during assembly
+  // goes through the same recovery as one mid-sweep.
   const bool want_assembly = !phantom && end_round == result.rounds_total;
 
-  sparklet::RddPtr<BlockRecord> final_rdd;
-  std::vector<BlockRecord> assembled;
+  std::optional<Result<linalg::DenseBlock>> assembled;
   std::int64_t start = opts.start_round;
   int restarts = 0;
   for (;;) {
     try {
-      ApspOptions attempt_opts = opts;
-      attempt_opts.start_round = start;
-      final_rdd = RunRounds(ctx, layout, a, partitioner, attempt_opts,
-                            end_round - start);
+      workload.RunRounds(ctx, start, end_round, result.rounds_executed);
       result.rounds_executed = rounds_to_run;
       // The assembly collect is excluded from the reported solve time and
       // metrics, like the paper's timings (both captured before the collect
-      // below runs; the collect still goes through this try block so an
-      // executor loss firing during assembly recovers like any other).
-      // Failure/recovery evidence accrued *during* assembly is folded back
-      // in — a loss that fires there must still show in the report.
+      // below runs). Failure/recovery evidence accrued *during* assembly is
+      // folded back in — a loss that fires there must still show in the
+      // report — and so is its memory high water where the workload asks.
       result.sim_seconds = ctx.now_seconds();
       result.metrics = ctx.metrics();
       if (want_assembly) {
-        assembled = final_rdd->Collect();
+        assembled = workload.CollectDistances();
+        if (workload.ReportsAssemblyPeak()) {
+          result.metrics.driver_peak_bytes = ctx.metrics().driver_peak_bytes;
+          result.metrics.node_peak_bytes = ctx.metrics().node_peak_bytes;
+        }
         FoldRecoveryMetrics(ctx.metrics(), result.metrics);
       }
       result.status = Status::Ok();
@@ -114,7 +161,7 @@ ApspRunResult ApspSolver::Solve(sparklet::SparkletContext& ctx,
     } catch (const sparklet::SparkletAbort& abort) {
       // DATA_LOSS marks the one recoverable abort: an executor loss
       // destroyed state whose lineage contains out-of-lineage side effects
-      // (the impure solvers). Pure solvers never raise it — they recover in
+      // (the impure planes). Pure planes never raise it — they recover in
       // place through lineage recomputation and never reach this handler.
       if (abort.status().code() != StatusCode::kDataLoss ||
           restarts >= opts.max_restarts) {
@@ -122,15 +169,10 @@ ApspRunResult ApspSolver::Solve(sparklet::SparkletContext& ctx,
         break;
       }
       ++restarts;
-      final_rdd.reset();
-      const std::string restart_tag = "#restart" + std::to_string(restarts);
+      const std::string tag = "#restart" + std::to_string(restarts);
       auto resume = RestartFromCheckpoint(
           ctx, layout, /*fallback_round=*/opts.start_round,
-          [&](const CheckpointInfo* info) {
-            a = ctx.ParallelizePartitioned(
-                "A" + restart_tag, info != nullptr ? info->blocks : blocks,
-                partitioner);
-          });
+          [&](const CheckpointInfo* info) { workload.Seed(ctx, info, tag); });
       if (!resume.ok()) {
         result.status = resume.status();
         break;
@@ -155,48 +197,14 @@ ApspRunResult ApspSolver::Solve(sparklet::SparkletContext& ctx,
         static_cast<double>(ctx.config().local_storage_bytes);
   }
 
-  if (result.status.ok() && want_assembly) {
-    auto matrix = layout.Assemble(assembled);
-    if (matrix.ok()) {
-      result.distances = std::move(matrix).value();
+  if (result.status.ok() && assembled.has_value()) {
+    if (assembled->ok()) {
+      result.distances = std::move(*assembled).value();
     } else {
-      result.status = matrix.status();
+      result.status = assembled->status();
     }
   }
   return result;
-}
-
-std::unique_ptr<ApspSolver> MakeSolver(SolverKind kind) {
-  switch (kind) {
-    case SolverKind::kRepeatedSquaring:
-      return std::make_unique<RepeatedSquaringSolver>();
-    case SolverKind::kFloydWarshall2d:
-      return std::make_unique<FloydWarshall2dSolver>();
-    case SolverKind::kBlockedInMemory:
-      return std::make_unique<BlockedInMemorySolver>();
-    case SolverKind::kBlockedCollectBroadcast:
-      return std::make_unique<BlockedCollectBroadcastSolver>();
-  }
-  throw std::invalid_argument("unknown solver kind");
-}
-
-const char* SolverKindName(SolverKind kind) noexcept {
-  switch (kind) {
-    case SolverKind::kRepeatedSquaring:
-      return "Repeated Squaring";
-    case SolverKind::kFloydWarshall2d:
-      return "2D Floyd-Warshall";
-    case SolverKind::kBlockedInMemory:
-      return "Blocked-IM";
-    case SolverKind::kBlockedCollectBroadcast:
-      return "Blocked-CB";
-  }
-  return "?";
-}
-
-std::vector<SolverKind> AllSolverKinds() {
-  return {SolverKind::kRepeatedSquaring, SolverKind::kFloydWarshall2d,
-          SolverKind::kBlockedInMemory, SolverKind::kBlockedCollectBroadcast};
 }
 
 }  // namespace apspark::apsp

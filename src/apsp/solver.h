@@ -1,35 +1,34 @@
-// APSP solver interface: the public entry point of this library.
+// Internal solve machinery behind apsp/api.h.
 //
-// Four solvers implement the paper's algorithms (§4):
-//   RepeatedSquaringSolver      — Alg. 1 (impure: shared-FS column staging)
-//   FloydWarshall2dSolver       — Alg. 2 (pure)
-//   BlockedInMemorySolver       — Alg. 3 (pure)
+// Every workload runs the same driver, RunSolve: arm the injected faults and
+// membership changes, mark the durable start, sweep the rounds, restart from
+// the latest checkpoint after a recoverable loss, collect for assembly, and
+// project the result. What differs per workload is a small Workload
+// strategy: the round count, the input RDDs and how to reseed them on a
+// restart, the rounds body, and assembly.
+//
+// APSP plugs in the four paper solvers (§4) as ApspSolver round bodies:
+//   RepeatedSquaringSolver        — Alg. 1 (impure: shared-FS column staging)
+//   FloydWarshall2dSolver         — Alg. 2 (pure)
+//   BlockedInMemorySolver         — Alg. 3 (pure)
 //   BlockedCollectBroadcastSolver — Alg. 4 (impure)
+// KSSP (apsp/solvers/ksource_blocked.h) is the same blocked sweep over a
+// rectangular frontier panel and supplies the second Workload.
 //
-// Two run modes:
-//   SolveGraph — full run on real data; returns the distance matrix,
-//     validated in tests against Dijkstra/Johnson.
-//   SolveModel — paper-scale run on phantom blocks; executes the complete
-//     engine control path (partitioning, shuffles, storage accounting) and
-//     reports modelled time. With options.max_rounds > 0 only the first
-//     rounds run and the total is projected, exactly the methodology of the
-//     paper's Table 2 ("Single" vs "Projected").
+// Model runs use phantom blocks: the complete engine control path
+// (partitioning, shuffles, storage accounting) without payloads. With
+// options.max_rounds > 0 only the first rounds run and the total is
+// projected, the methodology of the paper's Table 2 ("Single" vs
+// "Projected").
 #pragma once
 
 #include <memory>
-#include <optional>
 #include <string>
 #include <vector>
 
-#include "apsp/block_key.h"
-#include "apsp/block_layout.h"
-#include "apsp/partitioners.h"
-#include "apsp/run_plan.h"
-#include "graph/graph.h"
-#include "linalg/cost_model.h"
-#include "linalg/kernel_registry.h"
+#include "apsp/api.h"
+#include "apsp/checkpoint.h"
 #include "obs/trace.h"
-#include "sparklet/rdd.h"
 
 namespace apspark::apsp {
 
@@ -61,110 +60,68 @@ class RoundSpanScope {
   bool active_;
 };
 
-/// The durability/fault/membership knobs live in the RunPlan base (shared
-/// with KsourceOptions — see apsp/run_plan.h); the fields here are the
-/// APSP-specific decomposition and execution parameters. New callers should
-/// prefer the SolveRequest/SolveReport surface in apsp/api.h; this struct
-/// remains as the compatibility layer it wraps.
-struct ApspOptions : RunPlan {
-  /// Decomposition parameter b; q = ceil(n/b).
-  std::int64_t block_size = 256;
-  /// Semiring the solve evaluates (see linalg/semiring.h). SolveGraph
-  /// converts the canonical min-plus adjacency into this algebra's matrix
-  /// (boolean reachability, max-min capacities, max-times reliabilities via
-  /// 2^-w); the result matrix is in the semiring's value domain.
-  linalg::SemiringId semiring = linalg::SemiringId::kMinPlus;
-  /// Boolean solves use the bit-packed block plane (64 vertices per word)
-  /// unless disabled. Ignored for the other semirings.
-  bool bitpack_boolean = true;
-  PartitionerKind partitioner = PartitionerKind::kMultiDiagonal;
-  /// Spark's over-decomposition factor B: RDD partitions per core (§5.3).
-  int partitions_per_core = 2;
-  /// 0 = run to completion. Otherwise simulate this many rounds and project
-  /// (a "round" is one column sweep for Repeated Squaring, one k step for 2D
-  /// Floyd-Warshall, one diagonal iteration for the blocked methods).
-  std::int64_t max_rounds = 0;
-  bool directed = false;
-  /// Resume support: skip rounds [0, start_round) — the caller provides the
-  /// matching checkpointed blocks via Solve().
-  std::int64_t start_round = 0;
-};
-
-struct ApspRunResult {
-  Status status;  // OK, or why the run stopped (e.g. storage exhausted)
-
-  /// Full distance matrix (only for completed real-data runs).
-  std::optional<linalg::DenseBlock> distances;
-
-  sparklet::SimMetrics metrics;
-  double sim_seconds = 0;  // modelled time of the executed rounds
-  std::int64_t rounds_executed = 0;
-  std::int64_t rounds_total = 0;
-  /// sim_seconds scaled to all rounds (equals sim_seconds for full runs).
-  double projected_seconds = 0;
-
-  std::uint64_t spill_peak_bytes = 0;  // per-node local-storage high water
-  double projected_spill_bytes = 0;    // extrapolated over all rounds
-  /// True when the extrapolated spill exceeds per-node capacity: the solver
-  /// would die before finishing (paper Table 3: Blocked-IM at p = 1024).
-  bool projected_storage_exceeded = false;
-
-  double SecondsPerRound() const noexcept {
-    return rounds_executed > 0
-               ? sim_seconds / static_cast<double>(rounds_executed)
-               : 0.0;
-  }
-};
-
+/// One paper APSP algorithm: its round count and its rounds body. Stateless.
 class ApspSolver {
  public:
   virtual ~ApspSolver() = default;
 
-  virtual std::string name() const = 0;
-  /// Pure solvers rely only on fault-tolerant Spark functionality; impure
-  /// ones stage data in shared persistent storage (§3).
-  virtual bool pure() const noexcept = 0;
   /// Rounds a full run takes for this layout.
   virtual std::int64_t TotalRounds(const BlockLayout& layout) const = 0;
 
-  /// Full-fidelity run on real data.
-  ApspRunResult SolveGraph(const graph::Graph& graph, const ApspOptions& opts,
-                           const sparklet::ClusterConfig& cluster,
-                           const linalg::CostModel& model = {});
-
-  /// Paper-scale model run on phantom blocks (no numeric payload).
-  ApspRunResult SolveModel(std::int64_t n, const ApspOptions& opts,
-                           const sparklet::ClusterConfig& cluster,
-                           const linalg::CostModel& model = {});
-
-  /// Core loop on a caller-owned context (exposed for engine-level tests,
-  /// e.g. fault injection through ctx.fault_injector()).
-  ApspRunResult Solve(sparklet::SparkletContext& ctx,
-                      const BlockLayout& layout,
-                      const std::vector<BlockRecord>& blocks,
-                      const ApspOptions& opts);
-
- protected:
-  /// Runs `rounds_to_run` rounds of the algorithm starting from RDD `a`
-  /// and returns the final block RDD. Throws SparkletAbort on modelled
-  /// failures.
+  /// Runs rounds [first, first + rounds_to_run) starting from RDD `a` and
+  /// returns the final block RDD. Throws SparkletAbort on modelled failures.
   virtual sparklet::RddPtr<BlockRecord> RunRounds(
       sparklet::SparkletContext& ctx, const BlockLayout& layout,
       sparklet::RddPtr<BlockRecord> a,
       sparklet::PartitionerPtr<BlockKey> partitioner, const ApspOptions& opts,
-      std::int64_t rounds_to_run) = 0;
+      std::int64_t first, std::int64_t rounds_to_run) const = 0;
 };
 
-/// Factory over all four solvers (handy for sweeps and tests).
-enum class SolverKind {
-  kRepeatedSquaring,
-  kFloydWarshall2d,
-  kBlockedInMemory,
-  kBlockedCollectBroadcast,
+const ApspSolver& SolverFor(SolverKind kind);
+
+/// What one workload contributes to RunSolve.
+class Workload {
+ public:
+  Workload() = default;
+  Workload(const Workload&) = delete;
+  Workload& operator=(const Workload&) = delete;
+  virtual ~Workload() = default;
+
+  virtual std::int64_t TotalRounds() const = 0;
+
+  /// (Re)populates the input RDDs: from the stable inputs when `checkpoint`
+  /// is null, else from it. `tag` suffixes the RDD names on restarts.
+  virtual void Seed(sparklet::SparkletContext& ctx,
+                    const CheckpointInfo* checkpoint,
+                    const std::string& tag) = 0;
+
+  /// Runs rounds [first, end). Workloads that track per-round progress
+  /// update `rounds_done` as rounds complete, so a failed run reports how
+  /// far it got. Throws SparkletAbort on modelled failures.
+  virtual void RunRounds(sparklet::SparkletContext& ctx, std::int64_t first,
+                         std::int64_t end, std::int64_t& rounds_done) = 0;
+
+  /// Collects the final state on the driver and assembles the distances.
+  virtual Result<linalg::DenseBlock> CollectDistances() = 0;
+
+  /// Whether the assembly collect's memory high water joins the reported
+  /// metrics (KSSP: the pure plane's only driver-resident spike) or stays
+  /// out of them like its time does (APSP).
+  virtual bool ReportsAssemblyPeak() const = 0;
 };
 
-std::unique_ptr<ApspSolver> MakeSolver(SolverKind kind);
-const char* SolverKindName(SolverKind kind) noexcept;
-std::vector<SolverKind> AllSolverKinds();
+/// Partitions a run's RDDs use: partitions_per_core per modelled core.
+int NumPartitions(const sparklet::SparkletContext& ctx,
+                  const ApspOptions& opts);
+
+/// The APSP workload: `blocks` must outlive it (restarts reseed from them).
+std::unique_ptr<Workload> MakeApspWorkload(
+    SolverKind kind, sparklet::SparkletContext& ctx, const BlockLayout& layout,
+    const std::vector<BlockRecord>& blocks, const ApspOptions& opts);
+
+/// The one attempt loop. `phantom` marks a model run, which never assembles.
+ApspRunResult RunSolve(sparklet::SparkletContext& ctx,
+                       const BlockLayout& layout, const ApspOptions& opts,
+                       Workload& workload, bool phantom);
 
 }  // namespace apspark::apsp

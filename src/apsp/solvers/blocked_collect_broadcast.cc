@@ -17,10 +17,10 @@ using staging::StagingKeys;
 RddPtr<BlockRecord> BlockedCollectBroadcastSolver::RunRounds(
     sparklet::SparkletContext& ctx, const BlockLayout& layout,
     RddPtr<BlockRecord> a, sparklet::PartitionerPtr<BlockKey> partitioner,
-    const ApspOptions& opts, std::int64_t rounds_to_run) {
+    const ApspOptions& opts, std::int64_t first,
+    std::int64_t rounds_to_run) const {
   RddPtr<BlockRecord> current = std::move(a);
   const bool directed = layout.directed();
-  const std::int64_t first = opts.start_round;
   const StagingKeys keys("cb");
 
   for (std::int64_t i = first; i < first + rounds_to_run; ++i) {

@@ -11,9 +11,9 @@ using sparklet::TaskContext;
 RddPtr<BlockRecord> BlockedInMemorySolver::RunRounds(
     sparklet::SparkletContext& ctx, const BlockLayout& layout,
     RddPtr<BlockRecord> a, sparklet::PartitionerPtr<BlockKey> partitioner,
-    const ApspOptions& opts, std::int64_t rounds_to_run) {
+    const ApspOptions& /*opts*/, std::int64_t first,
+    std::int64_t rounds_to_run) const {
   RddPtr<BlockRecord> current = std::move(a);
-  const std::int64_t first = opts.start_round;
 
   for (std::int64_t i = first; i < first + rounds_to_run; ++i) {
     RoundSpanScope round_span(ctx.cluster(), i);

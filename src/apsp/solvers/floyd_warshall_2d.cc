@@ -13,11 +13,11 @@ using sparklet::TaskContext;
 RddPtr<BlockRecord> FloydWarshall2dSolver::RunRounds(
     sparklet::SparkletContext& ctx, const BlockLayout& layout,
     RddPtr<BlockRecord> a, sparklet::PartitionerPtr<BlockKey> partitioner,
-    const ApspOptions& opts, std::int64_t rounds_to_run) {
+    const ApspOptions& /*opts*/, std::int64_t first,
+    std::int64_t rounds_to_run) const {
   (void)partitioner;
   RddPtr<BlockRecord> current = std::move(a);
   const auto q = static_cast<std::size_t>(layout.q());
-  const std::int64_t first = opts.start_round;
 
   for (std::int64_t k = first; k < first + rounds_to_run; ++k) {
     RoundSpanScope round_span(ctx.cluster(), k);

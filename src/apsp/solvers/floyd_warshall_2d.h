@@ -17,18 +17,15 @@ namespace apspark::apsp {
 
 class FloydWarshall2dSolver final : public ApspSolver {
  public:
-  std::string name() const override { return "2D Floyd-Warshall"; }
-  bool pure() const noexcept override { return true; }
   std::int64_t TotalRounds(const BlockLayout& layout) const override {
     return layout.n();
   }
 
- protected:
   sparklet::RddPtr<BlockRecord> RunRounds(
       sparklet::SparkletContext& ctx, const BlockLayout& layout,
       sparklet::RddPtr<BlockRecord> a,
       sparklet::PartitionerPtr<BlockKey> partitioner, const ApspOptions& opts,
-      std::int64_t rounds_to_run) override;
+      std::int64_t first, std::int64_t rounds_to_run) const override;
 };
 
 }  // namespace apspark::apsp

@@ -8,7 +8,6 @@
 #include "apsp/combine_steps.h"
 #include "apsp/solver.h"
 #include "apsp/solvers/staging.h"
-#include "linalg/kernel_registry.h"
 #include "linalg/semiring.h"
 
 namespace apspark::apsp {
@@ -16,97 +15,11 @@ namespace apspark::apsp {
 using linalg::BlockRef;
 using linalg::DenseBlock;
 using sparklet::RddPtr;
-using sparklet::SparkletAbort;
 using sparklet::TaskContext;
 using staging::BlockCache;
 using staging::ReadPhase3Factors;
 using staging::ReadStagedBlock;
 using staging::StagingKeys;
-
-const char* KsourceVariantName(KsourceVariant variant) noexcept {
-  switch (variant) {
-    case KsourceVariant::kStagedStorage:
-      return "staged";
-    case KsourceVariant::kShuffleReplicated:
-      return "shuffle";
-  }
-  return "?";
-}
-
-std::optional<KsourceVariant> ParseKsourceVariant(std::string_view name) {
-  if (name == "staged") return KsourceVariant::kStagedStorage;
-  if (name == "shuffle") return KsourceVariant::kShuffleReplicated;
-  return std::nullopt;
-}
-
-std::vector<PanelRecord> DecomposeFrontier(const BlockLayout& layout,
-                                           const linalg::DenseBlock& frontier) {
-  std::vector<PanelRecord> panels;
-  panels.reserve(static_cast<std::size_t>(layout.q()));
-  for (std::int64_t i = 0; i < layout.q(); ++i) {
-    const std::int64_t r0 = i * layout.block_size();
-    panels.push_back(
-        {i, linalg::MakeBlock(frontier.RowPanel(r0, layout.BlockDim(i)))});
-  }
-  return panels;
-}
-
-KsourceResult KsourceBlockedSolver::SolveGraph(
-    const graph::Graph& graph, const std::vector<graph::VertexId>& sources,
-    const KsourceOptions& opts, const sparklet::ClusterConfig& cluster,
-    const linalg::CostModel& model) {
-  KsourceResult result;
-  const std::int64_t n = graph.num_vertices();
-  if (sources.empty()) {
-    result.status = InvalidArgumentError("ksource: no sources given");
-    return result;
-  }
-  for (graph::VertexId s : sources) {
-    if (s < 0 || s >= n) {
-      result.status = InvalidArgumentError("ksource: source " +
-                                           std::to_string(s) +
-                                           " out of range");
-      return result;
-    }
-  }
-  const bool directed = opts.directed || graph.directed();
-  DenseBlock adjacency = graph.ToDenseAdjacency();
-  // The sweep computes F = A* ⊗ F_0, i.e. distances *to* the frontier
-  // columns; sweeping the reversed graph roots them at the sources instead.
-  if (directed) adjacency = adjacency.Transposed();
-  // Ingest into the requested algebra (panels stay dense; see KsourceOptions).
-  adjacency = linalg::SemiringAdjacency(std::move(adjacency), opts.semiring,
-                                        /*bitpack=*/false);
-  KsourceOptions run_opts = opts;
-  run_opts.directed = directed;
-  const BlockLayout layout(n, opts.block_size, directed);
-  const DenseBlock frontier = linalg::FrontierPanel(
-      n, std::vector<std::int64_t>(sources.begin(), sources.end()),
-      linalg::SemiringZeroValue(opts.semiring),
-      linalg::SemiringOneValue(opts.semiring));
-  sparklet::SparkletContext ctx(cluster, model);
-  return Solve(ctx, layout, layout.Decompose(adjacency),
-               DecomposeFrontier(layout, frontier), run_opts);
-}
-
-KsourceResult KsourceBlockedSolver::SolveModel(
-    std::int64_t n, std::int64_t num_sources, const KsourceOptions& opts,
-    const sparklet::ClusterConfig& cluster, const linalg::CostModel& model) {
-  KsourceResult result;
-  if (num_sources <= 0) {
-    result.status = InvalidArgumentError("ksource: no sources given");
-    return result;
-  }
-  const BlockLayout layout(n, opts.block_size, opts.directed);
-  std::vector<PanelRecord> panels;
-  panels.reserve(static_cast<std::size_t>(layout.q()));
-  for (std::int64_t i = 0; i < layout.q(); ++i) {
-    panels.push_back({i, linalg::MakeBlock(DenseBlock::Phantom(
-                             layout.BlockDim(i), num_sources))});
-  }
-  sparklet::SparkletContext ctx(cluster, model);
-  return Solve(ctx, layout, layout.DecomposePhantom(), panels, opts);
-}
 
 namespace {
 
@@ -542,143 +455,107 @@ void RunShufflePivot(sparklet::SparkletContext& ctx, const BlockLayout& layout,
   updated_cross->Unpersist();
 }
 
-}  // namespace
+class KsourceWorkload final : public Workload {
+ public:
+  KsourceWorkload(sparklet::SparkletContext& ctx, const BlockLayout& layout,
+                  const std::vector<BlockRecord>& blocks,
+                  std::vector<PanelRecord> frontier, const ApspOptions& opts)
+      : layout_(layout),
+        blocks_(blocks),
+        frontier_(std::move(frontier)),
+        opts_(opts),
+        block_part_(MakeBlockPartitioner(opts.partitioner, layout,
+                                         NumPartitions(ctx, opts))),
+        panel_part_(sparklet::MakePortableHash<std::int64_t>(
+            std::min<int>(NumPartitions(ctx, opts),
+                          static_cast<int>(layout.q())))) {}
 
-KsourceResult KsourceBlockedSolver::Solve(
-    sparklet::SparkletContext& ctx, const BlockLayout& layout,
-    const std::vector<BlockRecord>& blocks,
-    const std::vector<PanelRecord>& frontier, const KsourceOptions& opts) {
-  // Host kernel selection for this run, exactly like ApspSolver::Solve.
-  linalg::ScopedKernelVariant kernel_scope(ctx.config().kernel_variant);
-  // Pin the run's algebra: the fused rectangular updates and closures this
-  // sweep reaches all evaluate opts.semiring.
-  linalg::ScopedSemiring semiring_scope(opts.semiring);
-  KsourceResult result;
-  const std::int64_t q = layout.q();
-  result.rounds_total = q;
-  const std::int64_t rounds_to_run =
-      opts.max_rounds > 0 ? std::min(opts.max_rounds, q) : q;
+  std::int64_t TotalRounds() const override { return layout_.q(); }
 
-  const int num_partitions =
-      std::max(1, opts.partitions_per_core * ctx.config().total_cores());
-  auto block_part =
-      MakeBlockPartitioner(opts.partitioner, layout, num_partitions);
-  auto panel_part = sparklet::MakePortableHash<std::int64_t>(
-      std::min<int>(num_partitions, static_cast<int>(q)));
-
-  auto a = ctx.ParallelizePartitioned("ksA", blocks, block_part);
-  auto f = ctx.ParallelizePartitioned("ksF", frontier, panel_part);
-  // Populating the RDDs is free, consistent with the APSP solvers.
-  ctx.cluster().Reset();
-  // Arm injected executor losses; stage ordinals count from this Reset.
-  for (const auto& plan : opts.fail_nodes) {
-    ctx.fault_injector().FailNode(plan.node, plan.at_stage);
+  void Seed(sparklet::SparkletContext& ctx, const CheckpointInfo* checkpoint,
+            const std::string& tag) override {
+    a_ = ctx.ParallelizePartitioned(
+        "ksA" + tag, checkpoint != nullptr ? checkpoint->blocks : blocks_,
+        block_part_);
+    f_ = ctx.ParallelizePartitioned(
+        "ksF" + tag, checkpoint != nullptr ? checkpoint->panels : frontier_,
+        panel_part_);
   }
-  for (const auto& plan : opts.fail_racks) {
-    ctx.fault_injector().FailRack(plan.rack, plan.at_stage);
-  }
-  for (const std::int64_t at_stage : opts.add_nodes) {
-    ctx.fault_injector().AddNode(at_stage);
-  }
-  ctx.cluster().NoteDurableMark();
-  const StagingKeys keys("ks");
 
-  // Real-data full sweeps end with the driver assembling the n x k panel;
-  // the collect runs inside the attempt loop so an executor loss firing
-  // during assembly goes through the same recovery as one mid-sweep.
-  const bool phantom =
-      !frontier.empty() && frontier.front().second->is_phantom();
-  const bool want_assembly = !phantom && rounds_to_run == q;
-
-  std::vector<PanelRecord> assembled;
-  std::int64_t first = 0;
-  int restarts = 0;
-  for (;;) {
-    try {
-      for (std::int64_t t = first; t < rounds_to_run; ++t) {
-        RoundSpanScope round_span(ctx.cluster(), t);
-        const bool skip = opts.early_exit_infinite &&
-                          PivotCrossAllZero(a, layout, t, opts.semiring);
-        if (opts.variant == KsourceVariant::kShuffleReplicated) {
-          RunShufflePivot(ctx, layout, t, block_part, panel_part, a, f, skip);
-        } else {
-          RunStagedPivot(ctx, layout, t, keys, block_part, a, f, skip);
-        }
-        result.rounds_executed = t + 1;
-        if (opts.checkpoint_every > 0 &&
-            (t + 1) % opts.checkpoint_every == 0) {
-          SaveCheckpoint(ctx, layout, a->Collect(), t + 1, f->Collect());
-        }
+  void RunRounds(sparklet::SparkletContext& ctx, std::int64_t first,
+                 std::int64_t end, std::int64_t& rounds_done) override {
+    for (std::int64_t t = first; t < end; ++t) {
+      RoundSpanScope round_span(ctx.cluster(), t);
+      const bool skip = opts_.early_exit_infinite &&
+                        PivotCrossAllZero(a_, layout_, t, opts_.semiring);
+      if (opts_.variant == KsourceVariant::kShuffleReplicated) {
+        RunShufflePivot(ctx, layout_, t, block_part_, panel_part_, a_, f_,
+                        skip);
+      } else {
+        RunStagedPivot(ctx, layout_, t, keys_, block_part_, a_, f_, skip);
       }
-      // Timing and metrics stay pivots-only (the projection methodology);
-      // the assembly collect below is excluded — except its memory high
-      // water (the pure variant's only driver-resident spike) and any
-      // failure/recovery evidence, both folded in after the collect. The
-      // collect still runs in this try block so an executor loss firing
-      // during assembly recovers like any other.
-      result.sim_seconds = ctx.now_seconds();
-      result.metrics = ctx.metrics();
-      if (want_assembly) {
-        assembled = f->Collect();
-        result.metrics.driver_peak_bytes = ctx.metrics().driver_peak_bytes;
-        result.metrics.node_peak_bytes = ctx.metrics().node_peak_bytes;
-        FoldRecoveryMetrics(ctx.metrics(), result.metrics);
+      rounds_done = t + 1;
+      if (opts_.checkpoint_every > 0 && (t + 1) % opts_.checkpoint_every == 0) {
+        SaveCheckpoint(ctx, layout_, a_->Collect(), t + 1, f_->Collect());
       }
-      result.status = Status::Ok();
-      break;
-    } catch (const SparkletAbort& abort) {
-      // DATA_LOSS: an executor loss destroyed state the staged (impure)
-      // plane cannot replay through lineage. Restart from the latest
-      // checkpoint epoch (or from the stable inputs), accounting the lost
-      // progress as recovery. The pure shuffle variant recovers in place
-      // and never raises it.
-      if (abort.status().code() != StatusCode::kDataLoss ||
-          restarts >= opts.max_restarts) {
-        result.status = abort.status();
-        break;
-      }
-      ++restarts;
-      const std::string tag = "#restart" + std::to_string(restarts);
-      auto resume = RestartFromCheckpoint(
-          ctx, layout, /*fallback_round=*/0,
-          [&](const CheckpointInfo* info) {
-            a = ctx.ParallelizePartitioned(
-                "ksA" + tag, info != nullptr ? info->blocks : blocks,
-                block_part);
-            f = ctx.ParallelizePartitioned(
-                "ksF" + tag, info != nullptr ? info->panels : frontier,
-                panel_part);
-          });
-      if (!resume.ok()) {
-        result.status = resume.status();
-        break;
-      }
-      first = *resume;
     }
   }
 
-  if (!result.status.ok()) {
-    result.sim_seconds = ctx.now_seconds();
-    result.metrics = ctx.metrics();
-  }
-  if (result.rounds_executed > 0) {
-    result.projected_seconds =
-        result.sim_seconds * static_cast<double>(q) /
-        static_cast<double>(result.rounds_executed);
-  }
-
-  if (result.status.ok() && want_assembly) {
-    const std::int64_t k =
-        assembled.empty() ? 0 : assembled.front().second->cols();
+  /// The inverse of the frontier decomposition in MakeKsourceWorkload.
+  Result<DenseBlock> CollectDistances() override {
+    const std::vector<PanelRecord> panels = f_->Collect();
+    const std::int64_t k = panels.empty() ? 0 : panels.front().second->cols();
     // Every row is pasted below; fill with the semiring Zero anyway so a
     // would-be gap reads as "unreachable", not as a min-plus artifact.
-    DenseBlock out(layout.n(), k, linalg::SemiringZeroValue(opts.semiring));
-    for (const auto& [idx, panel] : assembled) {
-      out.PasteRowPanel(idx * layout.block_size(), *panel);
+    DenseBlock out(layout_.n(), k, linalg::SemiringZeroValue(opts_.semiring));
+    for (const auto& [idx, panel] : panels) {
+      out.PasteRowPanel(idx * layout_.block_size(), *panel);
     }
-    result.distances = std::move(out);
+    return out;
   }
-  return result;
+
+  bool ReportsAssemblyPeak() const override { return true; }
+
+ private:
+  const BlockLayout& layout_;
+  const std::vector<BlockRecord>& blocks_;
+  const std::vector<PanelRecord> frontier_;
+  const ApspOptions& opts_;
+  const StagingKeys keys_{"ks"};
+  sparklet::PartitionerPtr<BlockKey> block_part_;
+  sparklet::PartitionerPtr<std::int64_t> panel_part_;
+  RddPtr<BlockRecord> a_;
+  RddPtr<PanelRecord> f_;
+};
+
+}  // namespace
+
+std::unique_ptr<Workload> MakeKsourceWorkload(
+    sparklet::SparkletContext& ctx, const BlockLayout& layout,
+    const std::vector<BlockRecord>& blocks,
+    const std::vector<graph::VertexId>& sources, const ApspOptions& opts,
+    bool phantom) {
+  // One panel per block row: rows of the n x k identity-column frontier
+  // (semiring One at each source's row, Zero elsewhere), or phantoms.
+  const auto k = static_cast<std::int64_t>(sources.size());
+  const DenseBlock full =
+      phantom ? DenseBlock()
+              : linalg::FrontierPanel(
+                    layout.n(),
+                    std::vector<std::int64_t>(sources.begin(), sources.end()),
+                    linalg::SemiringZeroValue(opts.semiring),
+                    linalg::SemiringOneValue(opts.semiring));
+  std::vector<PanelRecord> frontier;
+  frontier.reserve(static_cast<std::size_t>(layout.q()));
+  for (std::int64_t i = 0; i < layout.q(); ++i) {
+    const std::int64_t rows = layout.BlockDim(i);
+    frontier.push_back(
+        {i, linalg::MakeBlock(
+                phantom ? DenseBlock::Phantom(rows, k)
+                        : full.RowPanel(i * layout.block_size(), rows))});
+  }
+  return std::make_unique<KsourceWorkload>(ctx, layout, blocks,
+                                           std::move(frontier), opts);
 }
 
 }  // namespace apspark::apsp

@@ -44,118 +44,55 @@
 // whose structure is unknown.
 #pragma once
 
-#include <optional>
-#include <string>
-#include <string_view>
+#include <algorithm>
+#include <memory>
 #include <vector>
 
-#include "apsp/block_key.h"
-#include "apsp/block_layout.h"
-#include "apsp/partitioners.h"
-#include "apsp/run_plan.h"
-#include "graph/graph.h"
-#include "linalg/cost_model.h"
-#include "linalg/kernel_registry.h"
-#include "sparklet/rdd.h"
+#include "apsp/solver.h"
 
 namespace apspark::apsp {
 
-/// How pivot data moves between stages of the KSSP sweep (see file comment).
-enum class KsourceVariant {
-  kStagedStorage,
-  kShuffleReplicated,
-};
+/// The KSSP workload for RunSolve: `blocks` must outlive it (restarts
+/// reseed from them); the frontier is built from `sources` — real panels in
+/// the options' semiring, or phantom ones of the same shape when `phantom`.
+std::unique_ptr<Workload> MakeKsourceWorkload(
+    sparklet::SparkletContext& ctx, const BlockLayout& layout,
+    const std::vector<BlockRecord>& blocks,
+    const std::vector<graph::VertexId>& sources, const ApspOptions& opts,
+    bool phantom);
 
-const char* KsourceVariantName(KsourceVariant variant) noexcept;
-std::optional<KsourceVariant> ParseKsourceVariant(std::string_view name);
+// KsourceOptions and KsourceBlockedSolver exist only for the end-to-end
+// benchmark (perfbench/), which names them; the two members forward to the
+// one entry point, and everything else calls apsp::Solve/SolveModel.
+using KsourceOptions = ApspOptions;
 
-/// The durability/fault/membership knobs live in the RunPlan base (shared
-/// with ApspOptions — see apsp/run_plan.h).
-struct KsourceOptions : RunPlan {
-  /// Decomposition parameter b; q = ceil(n/b).
-  std::int64_t block_size = 256;
-  /// Semiring the sweep evaluates (see linalg/semiring.h). SolveGraph
-  /// converts the canonical min-plus adjacency into this algebra's matrix
-  /// and builds the frontier from the semiring's Zero/One. KSSP panels stay
-  /// dense even for boolean (the rectangular frontier mixes with matrix
-  /// blocks every pivot; bit-packing is the square solvers' plane).
-  linalg::SemiringId semiring = linalg::SemiringId::kMinPlus;
-  PartitionerKind partitioner = PartitionerKind::kMultiDiagonal;
-  /// Spark's over-decomposition factor B: RDD partitions per core.
-  int partitions_per_core = 2;
-  /// 0 = sweep all q pivots. Otherwise run this many pivots and project the
-  /// total (paper-scale model runs, same methodology as ApspOptions).
-  std::int64_t max_rounds = 0;
-  bool directed = false;
-  /// Data-movement variant (CLI: --ksource-variant staged|shuffle).
-  KsourceVariant variant = KsourceVariant::kStagedStorage;
-  /// Early-exit pivot sweep for annihilator-heavy graphs (see file
-  /// comment); the test is the semiring's IsZero, not a hardwired isinf.
-  /// The detection scan charges identically on real and phantom runs; only
-  /// real runs can actually skip, so disable this when comparing a
-  /// disconnected real run against its phantom projection
-  /// second-for-second.
-  bool early_exit_infinite = true;
-};
-
-struct KsourceResult {
-  Status status;
-
-  /// n x k distance panel (real-data runs only): distances->At(v, j) is the
-  /// length of the shortest path from sources[j] to vertex v (+inf if
-  /// unreachable).
-  std::optional<linalg::DenseBlock> distances;
-
-  sparklet::SimMetrics metrics;
-  double sim_seconds = 0;  // modelled cluster time of the executed pivots
-  std::int64_t rounds_executed = 0;
-  std::int64_t rounds_total = 0;  // == q
-  /// sim_seconds scaled to all pivots (equals sim_seconds for full sweeps).
-  double projected_seconds = 0;
-};
-
-/// Blocked k-source solver over the sparklet engine. Reuses the registry
-/// kernel variant selected by ClusterConfig::kernel_variant, so the same
-/// naive / tiled / tiled_parallel selection that drives APSP drives KSSP.
 class KsourceBlockedSolver {
  public:
-  std::string name() const { return "Ksource-Blocked"; }
-  /// Whether a variant relies only on fault-tolerant Spark functionality.
-  /// kStagedStorage stages pivot data outside the RDD lineage (impure, like
-  /// Blocked Collect/Broadcast); kShuffleReplicated keeps everything in it.
-  static bool Pure(KsourceVariant variant) noexcept {
-    return variant == KsourceVariant::kShuffleReplicated;
-  }
-  /// The default variant's purity (kStagedStorage: impure).
-  bool pure() const noexcept { return Pure(KsourceVariant::kStagedStorage); }
-
-  /// Full-fidelity run on real data. `sources` must be non-empty vertex ids
-  /// of `graph`; duplicates are allowed (k may exceed n).
-  KsourceResult SolveGraph(const graph::Graph& graph,
+  ApspRunResult SolveGraph(const graph::Graph& graph,
                            const std::vector<graph::VertexId>& sources,
                            const KsourceOptions& opts,
-                           const sparklet::ClusterConfig& cluster,
-                           const linalg::CostModel& model = {});
+                           const sparklet::ClusterConfig& cluster) {
+    return Solve(graph, Request(sources, opts, cluster)).run;
+  }
 
-  /// Paper-scale model run on phantom blocks and panels: executes the whole
-  /// control path (staging, shuffles, storage accounting) without payloads.
-  KsourceResult SolveModel(std::int64_t n, std::int64_t num_sources,
+  ApspRunResult SolveModel(std::int64_t n, std::int64_t num_sources,
                            const KsourceOptions& opts,
-                           const sparklet::ClusterConfig& cluster,
-                           const linalg::CostModel& model = {});
+                           const sparklet::ClusterConfig& cluster) {
+    const std::vector<graph::VertexId> sources(
+        static_cast<std::size_t>(std::max<std::int64_t>(0, num_sources)));
+    return apsp::SolveModel(n, Request(sources, opts, cluster)).run;
+  }
 
-  /// Core loop on a caller-owned context (exposed for engine-level tests).
-  /// `frontier` holds one PanelRecord per block row of `layout`.
-  KsourceResult Solve(sparklet::SparkletContext& ctx,
-                      const BlockLayout& layout,
-                      const std::vector<BlockRecord>& blocks,
-                      const std::vector<PanelRecord>& frontier,
-                      const KsourceOptions& opts);
+ private:
+  static SolveRequest Request(const std::vector<graph::VertexId>& sources,
+                              const KsourceOptions& opts,
+                              const sparklet::ClusterConfig& cluster) {
+    SolveRequest request;
+    request.options = opts;
+    request.sources = sources;
+    request.cluster = cluster;
+    return request;
+  }
 };
-
-/// Decomposes a full n x k frontier into per-block-row panel records for
-/// `layout` (the inverse of the assembly KsourceResult performs).
-std::vector<PanelRecord> DecomposeFrontier(const BlockLayout& layout,
-                                           const linalg::DenseBlock& frontier);
 
 }  // namespace apspark::apsp

@@ -47,7 +47,8 @@ std::int64_t RepeatedSquaringSolver::TotalRounds(
 RddPtr<BlockRecord> RepeatedSquaringSolver::RunRounds(
     sparklet::SparkletContext& ctx, const BlockLayout& layout,
     RddPtr<BlockRecord> a, sparklet::PartitionerPtr<BlockKey> partitioner,
-    const ApspOptions& opts, std::int64_t rounds_to_run) {
+    const ApspOptions& opts, std::int64_t first,
+    std::int64_t rounds_to_run) const {
   const std::int64_t q = layout.q();
   const int squarings = CeilLog2(layout.n());
   std::int64_t executed = 0;
@@ -55,10 +56,9 @@ RddPtr<BlockRecord> RepeatedSquaringSolver::RunRounds(
 
   // Resume snaps to squaring boundaries: a round is one column sweep, but
   // the matrix is only consistent between squarings, which is where the
-  // checkpoints below are written (start_round is always a multiple of q on
-  // the engine's own restart path).
-  const int start_squaring =
-      q > 0 ? static_cast<int>(opts.start_round / q) : 0;
+  // checkpoints below are written (`first` is always a multiple of q on the
+  // engine's own restart path).
+  const int start_squaring = q > 0 ? static_cast<int>(first / q) : 0;
 
   for (int squaring = start_squaring;
        squaring < squarings && executed < rounds_to_run; ++squaring) {
@@ -168,9 +168,9 @@ RddPtr<BlockRecord> RepeatedSquaringSolver::RunRounds(
     // Durability extension: the matrix is consistent here (a completed
     // squaring), so this is where Repeated Squaring can checkpoint — the
     // shared-FS column staging makes it impure, and an executor loss sends
-    // it through the restart path in ApspSolver::Solve. checkpoint_every
-    // counts rounds (column sweeps) but snaps to squaring boundaries: a
-    // checkpoint is written when this squaring crossed a multiple of it.
+    // it through the restart path in RunSolve. checkpoint_every counts
+    // rounds (column sweeps) but snaps to squaring boundaries: a checkpoint
+    // is written when this squaring crossed a multiple of it.
     const std::int64_t completed =
         static_cast<std::int64_t>(squaring + 1) * q;
     if (opts.checkpoint_every > 0 && squaring + 1 < squarings &&

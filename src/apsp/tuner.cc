@@ -23,18 +23,19 @@ std::vector<TuneEntry> SweepConfigurations(const TuneRequest& request) {
 
   std::vector<TuneEntry> entries;
   for (SolverKind kind : solvers) {
-    auto solver = MakeSolver(kind);
-    if (request.require_fault_tolerance && !solver->pure()) continue;
+    if (request.require_fault_tolerance && !SolverKindPure(kind)) continue;
     for (std::int64_t b : block_sizes) {
       if (b <= 0 || b >= request.n) continue;
       for (PartitionerKind part : {PartitionerKind::kMultiDiagonal,
                                    PartitionerKind::kPortableHash}) {
-        ApspOptions options;
-        options.block_size = b;
-        options.partitioner = part;
-        options.max_rounds = 1;
-        options.directed = request.directed;
-        auto run = solver->SolveModel(request.n, options, request.cluster);
+        SolveRequest model;
+        model.solver = kind;
+        model.cluster = request.cluster;
+        model.options.block_size = b;
+        model.options.partitioner = part;
+        model.options.max_rounds = 1;
+        model.options.directed = request.directed;
+        const ApspRunResult run = SolveModel(request.n, model).run;
         TuneEntry entry;
         entry.solver = kind;
         entry.block_size = b;
@@ -85,14 +86,15 @@ std::vector<KsourceTuneEntry> SweepKsourceVariants(
 
   std::vector<KsourceTuneEntry> entries;
   for (const KsourceVariant variant : variants) {
-    KsourceOptions options;
-    options.block_size = request.block_size;
-    options.variant = variant;
-    options.max_rounds = 1;  // one phantom pivot, projected to the sweep
-    options.directed = request.directed;
-    KsourceBlockedSolver solver;
-    auto run = solver.SolveModel(request.n, request.num_sources, options,
-                                 request.cluster);
+    SolveRequest model;
+    model.sources = std::vector<graph::VertexId>(static_cast<std::size_t>(
+        std::max<std::int64_t>(0, request.num_sources)));
+    model.cluster = request.cluster;
+    model.options.block_size = request.block_size;
+    model.options.variant = variant;
+    model.options.max_rounds = 1;  // one phantom pivot, projected to the sweep
+    model.options.directed = request.directed;
+    const ApspRunResult run = SolveModel(request.n, model).run;
     KsourceTuneEntry entry;
     entry.variant = variant;
     entry.projected_seconds = run.projected_seconds;

@@ -10,8 +10,7 @@
 
 #include <vector>
 
-#include "apsp/solver.h"
-#include "apsp/solvers/ksource_blocked.h"
+#include "apsp/api.h"
 
 namespace apspark::apsp {
 

@@ -16,9 +16,10 @@
 //
 // The active variant and its tuning parameters are process-global: the
 // engine executes all record processing from the driver thread (see
-// sparklet/rdd.h), so a plain global is race-free as long as callers select
-// the variant before kicking off a solve — which is what
-// apsp::ApspSolver::Solve does from sparklet::ClusterConfig::kernel_variant.
+// sparklet/rdd.h), so a plain global is race-free as long as one solve runs
+// at a time and selects the variant before it starts — which is what
+// apsp::RunSolve, the attempt loop every APSP and KSSP solve goes through,
+// does from sparklet::ClusterConfig::kernel_variant.
 #pragma once
 
 #include <cstdint>

@@ -5,6 +5,7 @@
 #include <algorithm>
 #include <map>
 #include <set>
+#include <stdexcept>
 
 #include "apsp/block_layout.h"
 #include "apsp/building_blocks.h"
@@ -56,6 +57,13 @@ TEST(BlockLayout, GeometryWithRemainder) {
   EXPECT_EQ(layout.BlockDim(0), 4);
   EXPECT_EQ(layout.BlockDim(2), 2);  // remainder block
   EXPECT_EQ(layout.StoredBlockCount(), 6);
+}
+
+TEST(BlockLayout, RejectsNonPositiveSizesWithoutDividing) {
+  // A zero block size must throw before the block count divides by it.
+  EXPECT_THROW(BlockLayout(5, 0), std::invalid_argument);
+  EXPECT_THROW(BlockLayout(5, -2), std::invalid_argument);
+  EXPECT_THROW(BlockLayout(0, 2), std::invalid_argument);
 }
 
 TEST(BlockLayout, DirectedStoresFullGrid) {

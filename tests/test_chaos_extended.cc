@@ -19,8 +19,7 @@
 #include <string>
 #include <vector>
 
-#include "apsp/solver.h"
-#include "apsp/solvers/ksource_blocked.h"
+#include "apsp/api.h"
 #include "graph/generators.h"
 #include "linalg/kernels.h"
 #include "sparklet/rdd.h"
@@ -31,10 +30,7 @@ namespace {
 
 using apsp::ApspOptions;
 using apsp::BlockLayout;
-using apsp::KsourceBlockedSolver;
-using apsp::KsourceOptions;
 using apsp::KsourceVariant;
-using apsp::MakeSolver;
 using apsp::SolverKind;
 using apsp::SolverKindName;
 using graph::Graph;
@@ -118,7 +114,7 @@ TEST(ChaosExtended, SeededMembershipSchedulesAllApspSolversBitwise) {
     // rotate through all four kinds.
     const auto kinds = apsp::AllSolverKinds();
     const SolverKind kind = kinds[(seed - 1) % kinds.size()];
-    const bool pure = MakeSolver(kind)->pure();
+    const bool pure = apsp::SolverKindPure(kind);
 
     const BlockLayout layout(g.num_vertices(), block, g.directed());
     SparkletContext ctx(ChaosCluster(schedule));
@@ -129,8 +125,9 @@ TEST(ChaosExtended, SeededMembershipSchedulesAllApspSolversBitwise) {
     opts.fail_nodes = schedule.fail_nodes;
     opts.fail_racks = schedule.fail_racks;
     opts.add_nodes = schedule.add_nodes;
-    auto result = MakeSolver(kind)->Solve(
-        ctx, layout, layout.Decompose(g.ToDenseAdjacency()), opts);
+    auto result = apsp::Solve(
+        ctx, layout, layout.Decompose(g.ToDenseAdjacency()),
+        test::ApspRequest(kind, opts)).run;
     ASSERT_TRUE(result.status.ok())
         << SolverKindName(kind) << " seed " << seed << ": "
         << result.status.ToString();
@@ -182,16 +179,16 @@ TEST(ChaosExtended, SeededMembershipSchedulesBothKsourcePlanesBitwise) {
     const KsourceVariant variant = seed % 2 == 0
                                        ? KsourceVariant::kStagedStorage
                                        : KsourceVariant::kShuffleReplicated;
-    KsourceOptions opts;
+    ApspOptions opts;
     opts.block_size = 4 + static_cast<std::int64_t>(rng.NextBounded(13));
     opts.variant = variant;
     opts.directed = g.directed();
     opts.fail_nodes = schedule.fail_nodes;
     opts.fail_racks = schedule.fail_racks;
     opts.add_nodes = schedule.add_nodes;
-    if (!KsourceBlockedSolver::Pure(variant)) opts.checkpoint_every = 1;
-    KsourceBlockedSolver solver;
-    auto result = solver.SolveGraph(g, sources, opts, ChaosCluster(schedule));
+    if (!apsp::KsourceVariantPure(variant)) opts.checkpoint_every = 1;
+    auto result = apsp::Solve(
+        g, test::KsspRequest(sources, opts, ChaosCluster(schedule))).run;
     ASSERT_TRUE(result.status.ok())
         << apsp::KsourceVariantName(variant) << " seed " << seed << ": "
         << result.status.ToString();
@@ -199,7 +196,7 @@ TEST(ChaosExtended, SeededMembershipSchedulesBothKsourcePlanesBitwise) {
     ExpectBitwiseEqual(*result.distances, oracle,
                        std::string(apsp::KsourceVariantName(variant)) +
                            " seed " + std::to_string(seed));
-    if (KsourceBlockedSolver::Pure(variant)) {
+    if (apsp::KsourceVariantPure(variant)) {
       EXPECT_EQ(result.metrics.job_restarts, 0u)
           << "seed " << seed << ": pure plane must recover in place";
     }

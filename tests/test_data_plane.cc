@@ -13,8 +13,7 @@
 #include <cstdint>
 #include <vector>
 
-#include "apsp/solver.h"
-#include "apsp/solvers/ksource_blocked.h"
+#include "apsp/api.h"
 #include "graph/generators.h"
 #include "linalg/block_ref.h"
 #include "sparklet/memory_accountant.h"
@@ -25,10 +24,7 @@ namespace apspark {
 namespace {
 
 using apsp::ApspOptions;
-using apsp::KsourceBlockedSolver;
-using apsp::KsourceOptions;
 using apsp::KsourceVariant;
-using apsp::MakeSolver;
 using apsp::SolverKind;
 using linalg::BlockCopyStats;
 using linalg::BlockRef;
@@ -105,8 +101,8 @@ TEST(ZeroCopyDataPlane, ShuffleSolverMakesNoUnsanctionedCopies) {
   const std::uint64_t copies = UnsanctionedCopiesDuring([&] {
     ApspOptions opts;
     opts.block_size = 12;
-    auto result = MakeSolver(SolverKind::kBlockedInMemory)
-                      ->SolveGraph(g, opts, TestCluster());
+    auto result = apsp::Solve(
+        g, test::ApspRequest(SolverKind::kBlockedInMemory, opts)).run;
     ASSERT_TRUE(result.status.ok());
   });
   EXPECT_EQ(copies, 0u);
@@ -119,8 +115,8 @@ TEST(ZeroCopyDataPlane, StagedSolverMakesNoUnsanctionedCopies) {
   const std::uint64_t copies = UnsanctionedCopiesDuring([&] {
     ApspOptions opts;
     opts.block_size = 12;
-    auto result = MakeSolver(SolverKind::kBlockedCollectBroadcast)
-                      ->SolveGraph(g, opts, TestCluster());
+    auto result = apsp::Solve(
+        g, test::ApspRequest(SolverKind::kBlockedCollectBroadcast, opts)).run;
     ASSERT_TRUE(result.status.ok());
   });
   EXPECT_EQ(copies, 0u);
@@ -132,11 +128,10 @@ TEST(ZeroCopyDataPlane, BothKsourceVariantsMakeNoUnsanctionedCopies) {
   for (KsourceVariant variant :
        {KsourceVariant::kStagedStorage, KsourceVariant::kShuffleReplicated}) {
     const std::uint64_t copies = UnsanctionedCopiesDuring([&] {
-      KsourceOptions opts;
+      ApspOptions opts;
       opts.block_size = 16;
       opts.variant = variant;
-      KsourceBlockedSolver solver;
-      auto result = solver.SolveGraph(g, sources, opts, TestCluster());
+      auto result = apsp::Solve(g, test::KsspRequest(sources, opts)).run;
       ASSERT_TRUE(result.status.ok());
     });
     EXPECT_EQ(copies, 0u) << apsp::KsourceVariantName(variant);
@@ -238,10 +233,10 @@ TEST(MemoryHighWater, CollectBroadcastVsShuffleSolversOnFixedLayout) {
   const graph::Graph g = graph::PaperErdosRenyi(64, 9);
   ApspOptions opts;
   opts.block_size = 16;
-  auto im = MakeSolver(SolverKind::kBlockedInMemory)
-                ->SolveGraph(g, opts, TestCluster());
-  auto cb = MakeSolver(SolverKind::kBlockedCollectBroadcast)
-                ->SolveGraph(g, opts, TestCluster());
+  auto im =
+      apsp::Solve(g, test::ApspRequest(SolverKind::kBlockedInMemory, opts)).run;
+  auto cb = apsp::Solve(
+      g, test::ApspRequest(SolverKind::kBlockedCollectBroadcast, opts)).run;
   ASSERT_TRUE(im.status.ok());
   ASSERT_TRUE(cb.status.ok());
 
@@ -252,8 +247,8 @@ TEST(MemoryHighWater, CollectBroadcastVsShuffleSolversOnFixedLayout) {
   EXPECT_GT(cb.metrics.node_peak_bytes, 0u);
 
   // Determinism: an identical run reports identical high water.
-  auto cb2 = MakeSolver(SolverKind::kBlockedCollectBroadcast)
-                 ->SolveGraph(g, opts, TestCluster());
+  auto cb2 = apsp::Solve(
+      g, test::ApspRequest(SolverKind::kBlockedCollectBroadcast, opts)).run;
   EXPECT_EQ(cb2.metrics.driver_peak_bytes, cb.metrics.driver_peak_bytes);
   EXPECT_EQ(cb2.metrics.node_peak_bytes, cb.metrics.node_peak_bytes);
 }
@@ -264,13 +259,12 @@ TEST(MemoryHighWater, PureKsourceVariantKeepsTheDriverQuiet) {
   // assembly — its high water must sit strictly below the staged one.
   const graph::Graph g = graph::PaperErdosRenyi(96, 11);
   const std::vector<graph::VertexId> sources = {0, 13, 55};
-  KsourceOptions staged;
+  ApspOptions staged;
   staged.block_size = 16;
-  KsourceOptions shuffle = staged;
+  ApspOptions shuffle = staged;
   shuffle.variant = KsourceVariant::kShuffleReplicated;
-  KsourceBlockedSolver solver;
-  auto staged_run = solver.SolveGraph(g, sources, staged, TestCluster());
-  auto shuffle_run = solver.SolveGraph(g, sources, shuffle, TestCluster());
+  auto staged_run = apsp::Solve(g, test::KsspRequest(sources, staged)).run;
+  auto shuffle_run = apsp::Solve(g, test::KsspRequest(sources, shuffle)).run;
   ASSERT_TRUE(staged_run.status.ok());
   ASSERT_TRUE(shuffle_run.status.ok());
   EXPECT_GT(shuffle_run.metrics.driver_peak_bytes, 0u);  // final assembly

@@ -5,22 +5,19 @@
 #include <cstdio>
 #include <sstream>
 
+#include "apsp/api.h"
 #include "apsp/checkpoint.h"
-#include "apsp/solver.h"
 #include "apsp/tuner.h"
 #include "graph/generators.h"
 #include "graph/io.h"
 #include "graph/shortest_paths.h"
 #include "pregel/pregel_sssp.h"
+#include "test_support.h"
 
 namespace apspark {
 namespace {
 
-sparklet::ClusterConfig TestCluster() {
-  auto cfg = sparklet::ClusterConfig::TinyTest();
-  cfg.local_storage_bytes = 16ULL * kGiB;
-  return cfg;
-}
+using test::TestCluster;
 
 // --- Pregel / GraphX baseline -------------------------------------------
 
@@ -112,7 +109,7 @@ TEST(Tuner, FaultToleranceConstraintSelectsPureSolver) {
   request.require_fault_tolerance = true;
   auto choice = apsp::TuneConfiguration(request);
   ASSERT_TRUE(choice.ok());
-  EXPECT_TRUE(apsp::MakeSolver(choice->solver)->pure());
+  EXPECT_TRUE(apsp::SolverKindPure(choice->solver));
 }
 
 TEST(Tuner, SweepMarksStorageInfeasibleEntries) {
@@ -243,7 +240,7 @@ TEST(Checkpoint, ResumeProducesSameResultAsUninterruptedRun) {
   const graph::Graph g = graph::PaperErdosRenyi(48, 51);
   const apsp::BlockLayout layout(48, 12);  // q = 4 rounds
   const auto truth = graph::DijkstraAllPairs(g);
-  auto solver = apsp::MakeSolver(apsp::SolverKind::kBlockedCollectBroadcast);
+  const auto kind = apsp::SolverKind::kBlockedCollectBroadcast;
 
   // Phase 1: run with checkpointing but "crash" after 2 of 4 rounds.
   sparklet::SparkletContext ctx(TestCluster());
@@ -251,9 +248,10 @@ TEST(Checkpoint, ResumeProducesSameResultAsUninterruptedRun) {
   options.block_size = 12;
   options.checkpoint_every = 1;
   options.max_rounds = 2;
-  auto partial = solver->Solve(ctx, layout,
-                               layout.Decompose(g.ToDenseAdjacency()),
-                               options);
+  auto partial = apsp::Solve(ctx, layout,
+                             layout.Decompose(g.ToDenseAdjacency()),
+                             test::ApspRequest(kind, options))
+                     .run;
   ASSERT_TRUE(partial.status.ok());
   EXPECT_FALSE(partial.distances.has_value());  // not finished
 
@@ -264,7 +262,9 @@ TEST(Checkpoint, ResumeProducesSameResultAsUninterruptedRun) {
   apsp::ApspOptions resume;
   resume.block_size = 12;
   resume.start_round = checkpoint->next_round;
-  auto finished = solver->Solve(ctx, layout, checkpoint->blocks, resume);
+  auto finished = apsp::Solve(ctx, layout, checkpoint->blocks,
+                              test::ApspRequest(kind, resume))
+                      .run;
   ASSERT_TRUE(finished.status.ok());
   ASSERT_TRUE(finished.distances.has_value());
   EXPECT_TRUE(finished.distances->ApproxEquals(truth, 1e-9))
@@ -274,14 +274,14 @@ TEST(Checkpoint, ResumeProducesSameResultAsUninterruptedRun) {
 TEST(Checkpoint, ChargesSharedFsTime) {
   const graph::Graph g = graph::PaperErdosRenyi(32, 52);
   const apsp::BlockLayout layout(32, 8);
-  auto solver = apsp::MakeSolver(apsp::SolverKind::kBlockedCollectBroadcast);
   apsp::ApspOptions with;
   with.block_size = 8;
   with.checkpoint_every = 1;
   apsp::ApspOptions without;
   without.block_size = 8;
-  auto a = solver->SolveGraph(g, with, TestCluster());
-  auto b = solver->SolveGraph(g, without, TestCluster());
+  const auto cb = apsp::SolverKind::kBlockedCollectBroadcast;
+  auto a = apsp::Solve(g, test::ApspRequest(cb, with)).run;
+  auto b = apsp::Solve(g, test::ApspRequest(cb, without)).run;
   ASSERT_TRUE(a.status.ok());
   ASSERT_TRUE(b.status.ok());
   EXPECT_GT(a.metrics.shared_fs_written_bytes,

@@ -16,8 +16,7 @@
 #include <vector>
 
 #include "apsp/checkpoint.h"
-#include "apsp/solver.h"
-#include "apsp/solvers/ksource_blocked.h"
+#include "apsp/api.h"
 #include "apsp/tuner.h"
 #include "graph/generators.h"
 #include "linalg/kernels.h"
@@ -29,10 +28,7 @@ namespace {
 
 using apsp::ApspOptions;
 using apsp::BlockLayout;
-using apsp::KsourceBlockedSolver;
-using apsp::KsourceOptions;
 using apsp::KsourceVariant;
-using apsp::MakeSolver;
 using apsp::SolverKind;
 using apsp::SolverKindName;
 using graph::Graph;
@@ -469,10 +465,10 @@ SolverRun RunApsp(SolverKind kind, const Graph& g, std::int64_t block,
   opts.directed = g.directed();
   opts.checkpoint_every = checkpoint_every;
   opts.fail_nodes = failures;
-  auto solver = MakeSolver(kind);
   SolverRun run;
-  run.result = solver->Solve(ctx, layout,
-                             layout.Decompose(g.ToDenseAdjacency()), opts);
+  run.result = apsp::Solve(
+      ctx, layout, layout.Decompose(g.ToDenseAdjacency()),
+      test::ApspRequest(kind, opts)).run;
   run.metrics = ctx.metrics();
   return run;
 }
@@ -597,9 +593,9 @@ TEST(EndToEnd, RestartBudgetExhaustionSurfacesDataLoss) {
     opts.block_size = 8;
     opts.max_restarts = 0;  // no budget: the first impure loss is fatal
     opts.fail_nodes = {{0, stage}};
-    auto solver = MakeSolver(SolverKind::kBlockedCollectBroadcast);
-    auto result = solver->Solve(ctx, layout,
-                                layout.Decompose(g.ToDenseAdjacency()), opts);
+    auto result = apsp::Solve(
+        ctx, layout, layout.Decompose(g.ToDenseAdjacency()),
+        test::ApspRequest(SolverKind::kBlockedCollectBroadcast, opts)).run;
     if (result.status.code() == StatusCode::kDataLoss) {
       ++data_loss_seen;
       EXPECT_FALSE(result.distances.has_value()) << "stage " << stage;
@@ -631,13 +627,12 @@ TEST(EndToEnd, KsourceStagedRestartsShuffleRecoversBitwise) {
   const DenseBlock oracle = KsourceOracle(gi, sources);
   for (const KsourceVariant variant : {KsourceVariant::kStagedStorage,
                                        KsourceVariant::kShuffleReplicated}) {
-    KsourceOptions opts;
+    ApspOptions opts;
     opts.block_size = 10;
     opts.variant = variant;
     opts.fail_nodes = {{1, 18}};
     if (variant == KsourceVariant::kStagedStorage) opts.checkpoint_every = 2;
-    KsourceBlockedSolver solver;
-    auto result = solver.SolveGraph(gi, sources, opts, TestCluster());
+    auto result = apsp::Solve(gi, test::KsspRequest(sources, opts)).run;
     ASSERT_TRUE(result.status.ok())
         << apsp::KsourceVariantName(variant) << ": "
         << result.status.ToString();
@@ -646,7 +641,7 @@ TEST(EndToEnd, KsourceStagedRestartsShuffleRecoversBitwise) {
                        apsp::KsourceVariantName(variant));
     EXPECT_EQ(result.metrics.executor_failures, 1u);
     EXPECT_GT(result.metrics.recovery_seconds, 0.0);
-    if (KsourceBlockedSolver::Pure(variant)) {
+    if (apsp::KsourceVariantPure(variant)) {
       EXPECT_EQ(result.metrics.job_restarts, 0u)
           << "pure variant must recover in place";
     } else {
@@ -682,7 +677,7 @@ TEST(Chaos, SeededRandomFailureSchedulesAllSolversBitwise) {
          {SolverKind::kRepeatedSquaring, SolverKind::kFloydWarshall2d,
           SolverKind::kBlockedInMemory,
           SolverKind::kBlockedCollectBroadcast}) {
-      const bool pure = MakeSolver(kind)->pure();
+      const bool pure = apsp::SolverKindPure(kind);
       auto run = RunApsp(kind, g, block, schedule,
                          /*checkpoint_every=*/pure ? 0 : 1);
       ASSERT_TRUE(run.result.status.ok())
@@ -717,14 +712,13 @@ TEST(Chaos, SeededKsourceSchedules) {
          static_cast<std::int64_t>(rng.NextBounded(30))}};
     for (const KsourceVariant variant : {KsourceVariant::kStagedStorage,
                                          KsourceVariant::kShuffleReplicated}) {
-      KsourceOptions opts;
+      ApspOptions opts;
       opts.block_size = 4 + static_cast<std::int64_t>(rng.NextBounded(13));
       opts.variant = variant;
       opts.directed = g.directed();
       opts.fail_nodes = schedule;
-      if (!KsourceBlockedSolver::Pure(variant)) opts.checkpoint_every = 1;
-      KsourceBlockedSolver solver;
-      auto result = solver.SolveGraph(g, sources, opts, TestCluster());
+      if (!apsp::KsourceVariantPure(variant)) opts.checkpoint_every = 1;
+      auto result = apsp::Solve(g, test::KsspRequest(sources, opts)).run;
       ASSERT_TRUE(result.status.ok())
           << apsp::KsourceVariantName(variant) << " seed " << seed << ": "
           << result.status.ToString();

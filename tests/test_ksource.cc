@@ -14,7 +14,6 @@
 #include <optional>
 #include <vector>
 
-#include "apsp/solvers/ksource_blocked.h"
 #include "common/rng.h"
 #include "graph/shortest_paths.h"
 #include "linalg/kernels.h"
@@ -23,8 +22,8 @@
 namespace apspark {
 namespace {
 
-using apsp::KsourceBlockedSolver;
-using apsp::KsourceOptions;
+using apsp::ApspOptions;
+using apsp::KsourceVariant;
 using graph::Graph;
 using graph::VertexId;
 using linalg::DenseBlock;
@@ -54,17 +53,16 @@ DenseBlock OraclePanel(const Graph& g, const std::vector<VertexId>& sources) {
   return out;
 }
 
-apsp::KsourceResult RunKsource(
+apsp::ApspRunResult RunKsource(
     const Graph& g, const std::vector<VertexId>& sources,
     std::int64_t block_size, KernelVariant variant,
     apsp::KsourceVariant data_plane = apsp::KsourceVariant::kStagedStorage) {
-  KsourceOptions opts;
+  ApspOptions opts;
   opts.block_size = block_size;
   opts.variant = data_plane;
   auto cluster = TestCluster();
   cluster.kernel_variant = variant;
-  KsourceBlockedSolver solver;
-  return solver.SolveGraph(g, sources, opts, cluster);
+  return apsp::Solve(g, test::KsspRequest(sources, opts, cluster)).run;
 }
 
 // --- rectangular kernel, all variants ------------------------------------
@@ -368,10 +366,8 @@ TEST(KsourceShuffleVariant, UsesNoSharedStorageAndAgreesWithStaged) {
   EXPECT_GT(staged.metrics.shared_fs_written_bytes, 0u);
   // And it pays for that purity through the shuffle instead.
   EXPECT_GT(shuffle.metrics.shuffle_bytes, staged.metrics.shuffle_bytes);
-  EXPECT_TRUE(apsp::KsourceBlockedSolver::Pure(
-      apsp::KsourceVariant::kShuffleReplicated));
-  EXPECT_FALSE(apsp::KsourceBlockedSolver::Pure(
-      apsp::KsourceVariant::kStagedStorage));
+  EXPECT_TRUE(apsp::KsourceVariantPure(KsourceVariant::kShuffleReplicated));
+  EXPECT_FALSE(apsp::KsourceVariantPure(KsourceVariant::kStagedStorage));
 }
 
 // --- early-exit pivot sweep -------------------------------------------------
@@ -404,14 +400,13 @@ TEST(KsourceEarlyExit, DisconnectedGraphOutputIdenticalWithAndWithoutSkip) {
       // blocks straddling the cut (the skip never fires). Identical output
       // either way is the property under test.
       for (std::int64_t b : {6, 16}) {
-        KsourceOptions with_skip;
+        ApspOptions with_skip;
         with_skip.block_size = b;
         with_skip.variant = data_plane;
-        KsourceOptions without_skip = with_skip;
+        ApspOptions without_skip = with_skip;
         without_skip.early_exit_infinite = false;
-        KsourceBlockedSolver solver;
-        auto on = solver.SolveGraph(g, sources, with_skip, TestCluster());
-        auto off = solver.SolveGraph(g, sources, without_skip, TestCluster());
+        auto on = apsp::Solve(g, test::KsspRequest(sources, with_skip)).run;
+        auto off = apsp::Solve(g, test::KsspRequest(sources, without_skip)).run;
         ASSERT_TRUE(on.status.ok());
         ASSERT_TRUE(off.status.ok());
         const std::string label =
@@ -435,13 +430,12 @@ TEST(KsourceEarlyExit, ConnectedGraphNeverSkips) {
   // must add only the detection scan — same stage structure either way.
   const Graph g = graph::PaperErdosRenyi(48, 29);
   const std::vector<VertexId> sources = {1, 30};
-  KsourceOptions on;
+  ApspOptions on;
   on.block_size = 12;
-  KsourceOptions off = on;
+  ApspOptions off = on;
   off.early_exit_infinite = false;
-  KsourceBlockedSolver solver;
-  auto run_on = solver.SolveGraph(g, sources, on, TestCluster());
-  auto run_off = solver.SolveGraph(g, sources, off, TestCluster());
+  auto run_on = apsp::Solve(g, test::KsspRequest(sources, on)).run;
+  auto run_off = apsp::Solve(g, test::KsspRequest(sources, off)).run;
   ASSERT_TRUE(run_on.status.ok());
   ASSERT_TRUE(run_off.status.ok());
   ExpectBitwiseEqual(*run_on.distances, *run_off.distances, "on vs off");
@@ -456,13 +450,11 @@ TEST(KsourceSolver, PhantomRunChargesSameTimeAsRealRun) {
   // The virtual clock must not depend on payload materialization, the same
   // invariant the APSP solvers keep (it justifies paper-scale projections).
   const Graph g = graph::PaperErdosRenyi(48, 23);
-  KsourceOptions opts;
+  ApspOptions opts;
   opts.block_size = 12;
   std::vector<VertexId> sources = {1, 9, 17, 33, 41};
-  KsourceBlockedSolver solver;
-  auto real = solver.SolveGraph(g, sources, opts, TestCluster());
-  auto phantom = solver.SolveModel(
-      48, static_cast<std::int64_t>(sources.size()), opts, TestCluster());
+  auto real = apsp::Solve(g, test::KsspRequest(sources, opts)).run;
+  auto phantom = apsp::SolveModel(48, test::KsspRequest(sources, opts)).run;
   ASSERT_TRUE(real.status.ok());
   ASSERT_TRUE(phantom.status.ok());
   EXPECT_FALSE(phantom.distances.has_value());
@@ -473,15 +465,16 @@ TEST(KsourceSolver, PhantomRunChargesSameTimeAsRealRun) {
 }
 
 TEST(KsourceSolver, ProjectionApproximatesFullRun) {
-  KsourceOptions full_opts;
+  ApspOptions full_opts;
   full_opts.block_size = 16;
-  KsourceBlockedSolver solver;
-  auto full = solver.SolveModel(96, 8, full_opts, TestCluster());
+  auto full = apsp::SolveModel(
+      96, test::KsspRequest(std::vector<VertexId>(8), full_opts)).run;
   ASSERT_TRUE(full.status.ok());
   EXPECT_EQ(full.rounds_executed, full.rounds_total);
-  KsourceOptions partial_opts = full_opts;
+  ApspOptions partial_opts = full_opts;
   partial_opts.max_rounds = 2;
-  auto partial = solver.SolveModel(96, 8, partial_opts, TestCluster());
+  auto partial = apsp::SolveModel(
+      96, test::KsspRequest(std::vector<VertexId>(8), partial_opts)).run;
   ASSERT_TRUE(partial.status.ok());
   EXPECT_EQ(partial.rounds_executed, 2);
   EXPECT_NEAR(partial.projected_seconds, full.sim_seconds,
@@ -489,18 +482,52 @@ TEST(KsourceSolver, ProjectionApproximatesFullRun) {
 }
 
 TEST(KsourceSolver, RejectsInvalidSources) {
-  const Graph g = graph::PathGraph(5);
-  KsourceBlockedSolver solver;
-  KsourceOptions opts;
-  opts.block_size = 2;
-  EXPECT_EQ(solver.SolveGraph(g, {}, opts, TestCluster()).status.code(),
-            StatusCode::kInvalidArgument);
-  EXPECT_EQ(solver.SolveGraph(g, {5}, opts, TestCluster()).status.code(),
-            StatusCode::kInvalidArgument);
-  EXPECT_EQ(solver.SolveGraph(g, {-1}, opts, TestCluster()).status.code(),
-            StatusCode::kInvalidArgument);
-  EXPECT_EQ(solver.SolveModel(5, 0, opts, TestCluster()).status.code(),
-            StatusCode::kInvalidArgument);
+  // Every malformed request comes back INVALID_ARGUMENT from both entry
+  // points, for APSP and for KSSP on both planes — never a crash or a throw.
+  struct Case {
+    const char* name;
+    std::int64_t n;
+    std::int64_t block_size;
+    std::optional<std::vector<VertexId>> sources;  // unset: APSP and KSSP
+  };
+  const Case cases[] = {
+      {"no vertices", 0, 2, std::nullopt},
+      {"zero block", 5, 0, std::nullopt},
+      {"negative block", 5, -3, std::nullopt},
+      {"no sources", 5, 2, std::vector<VertexId>{}},
+      {"source past n", 5, 2, std::vector<VertexId>{5}},
+      {"negative source", 5, 2, std::vector<VertexId>{-1}},
+  };
+  for (const Case& c : cases) {
+    std::vector<apsp::SolveRequest> requests;
+    if (!c.sources.has_value()) {
+      requests.push_back(test::ApspRequest(
+          apsp::SolverKind::kBlockedCollectBroadcast, ApspOptions{}));
+    }
+    for (const KsourceVariant plane : {KsourceVariant::kStagedStorage,
+                                       KsourceVariant::kShuffleReplicated}) {
+      ApspOptions opts;
+      opts.variant = plane;
+      requests.push_back(
+          test::KsspRequest(c.sources.value_or(std::vector<VertexId>{0}),
+                            opts));
+    }
+    const Graph g = graph::PathGraph(c.n);
+    for (apsp::SolveRequest& request : requests) {
+      request.options.block_size = c.block_size;
+      const std::string label =
+          std::string(c.name) + " / " +
+          (request.sources.has_value()
+               ? apsp::KsourceVariantName(request.options.variant)
+               : "apsp");
+      EXPECT_EQ(apsp::Solve(g, request).status().code(),
+                StatusCode::kInvalidArgument)
+          << label;
+      EXPECT_EQ(apsp::SolveModel(c.n, request).status().code(),
+                StatusCode::kInvalidArgument)
+          << label << " (model)";
+    }
+  }
 }
 
 }  // namespace

@@ -16,8 +16,7 @@
 #include <string>
 #include <vector>
 
-#include "apsp/solver.h"
-#include "apsp/solvers/ksource_blocked.h"
+#include "apsp/api.h"
 #include "graph/generators.h"
 #include "linalg/kernels.h"
 #include "sparklet/block_manager.h"
@@ -30,10 +29,7 @@ namespace {
 
 using apsp::ApspOptions;
 using apsp::BlockLayout;
-using apsp::KsourceBlockedSolver;
-using apsp::KsourceOptions;
 using apsp::KsourceVariant;
-using apsp::MakeSolver;
 using apsp::SolverKind;
 using apsp::SolverKindName;
 using graph::Graph;
@@ -389,8 +385,9 @@ MembershipRun RunApspWithMembership(
   opts.fail_racks = fail_racks;
   opts.add_nodes = add_nodes;
   MembershipRun run;
-  run.result = MakeSolver(kind)->Solve(
-      ctx, layout, layout.Decompose(g.ToDenseAdjacency()), opts);
+  run.result = apsp::Solve(
+      ctx, layout, layout.Decompose(g.ToDenseAdjacency()),
+      test::ApspRequest(kind, opts)).run;
   run.metrics = ctx.metrics();
   const auto& placement = ctx.cluster().placement();
   for (std::int64_t p = 0; p < placement.known_partitions(); ++p) {
@@ -411,7 +408,7 @@ TEST(MembershipEndToEnd, RackLossAndJoinAllApspSolversBitwise) {
   const std::vector<sparklet::RackFailurePlan> rack_loss = {{0, 10}};
   const std::vector<std::int64_t> joins = {14};
   for (SolverKind kind : apsp::AllSolverKinds()) {
-    const bool pure = MakeSolver(kind)->pure();
+    const bool pure = apsp::SolverKindPure(kind);
     auto clean = RunApspWithMembership(kind, gi, 10, {}, {}, 0);
     ASSERT_TRUE(clean.result.status.ok()) << SolverKindName(kind);
     auto faulty = RunApspWithMembership(kind, gi, 10, rack_loss, joins,
@@ -457,14 +454,13 @@ TEST(MembershipEndToEnd, RackLossAndJoinBothKsourcePlanesBitwise) {
   cfg.racks = 2;
   for (const KsourceVariant variant : {KsourceVariant::kStagedStorage,
                                        KsourceVariant::kShuffleReplicated}) {
-    KsourceOptions opts;
+    ApspOptions opts;
     opts.block_size = 10;
     opts.fail_racks = {{1, 16}};
     opts.add_nodes = {20};
-    if (!KsourceBlockedSolver::Pure(variant)) opts.checkpoint_every = 2;
+    if (!apsp::KsourceVariantPure(variant)) opts.checkpoint_every = 2;
     opts.variant = variant;
-    KsourceBlockedSolver solver;
-    auto result = solver.SolveGraph(gi, sources, opts, cfg);
+    auto result = apsp::Solve(gi, test::KsspRequest(sources, opts, cfg)).run;
     ASSERT_TRUE(result.status.ok())
         << apsp::KsourceVariantName(variant) << ": "
         << result.status.ToString();
@@ -473,7 +469,7 @@ TEST(MembershipEndToEnd, RackLossAndJoinBothKsourcePlanesBitwise) {
                        apsp::KsourceVariantName(variant));
     EXPECT_EQ(result.metrics.executor_failures, 2u);
     EXPECT_EQ(result.metrics.node_joins, 1u);
-    if (KsourceBlockedSolver::Pure(variant)) {
+    if (apsp::KsourceVariantPure(variant)) {
       EXPECT_EQ(result.metrics.job_restarts, 0u);
     }
   }

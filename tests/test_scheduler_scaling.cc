@@ -11,8 +11,7 @@
 #include <vector>
 
 #include "apsp/building_blocks.h"
-#include "apsp/solver.h"
-#include "apsp/solvers/ksource_blocked.h"
+#include "apsp/api.h"
 #include "common/rng.h"
 #include "common/thread_pool.h"
 #include "graph/generators.h"
@@ -26,7 +25,6 @@ namespace apspark {
 namespace {
 
 using apsp::ApspOptions;
-using apsp::MakeSolver;
 using apsp::SolverKind;
 using linalg::DenseBlock;
 using linalg::KernelVariant;
@@ -224,7 +222,7 @@ TEST(SchedulerScaling, SolversTinyBlocksUnderGrainMerging) {
          {SolverKind::kBlockedInMemory, SolverKind::kBlockedCollectBroadcast}) {
       ApspOptions opts;
       opts.block_size = 4;
-      auto result = MakeSolver(kind)->SolveGraph(g, opts, cluster);
+      auto result = apsp::Solve(g, test::ApspRequest(kind, opts, cluster)).run;
       ASSERT_TRUE(result.status.ok()) << result.status.ToString();
       test::ExpectBitwiseEqual(*result.distances, oracle,
                                std::string("tiny-b ") +
@@ -249,7 +247,7 @@ void ExpectSolversMatchOracle(const graph::Graph& g, const std::string& label) {
          {SolverKind::kBlockedInMemory, SolverKind::kBlockedCollectBroadcast}) {
       ApspOptions opts;
       opts.block_size = 8;
-      auto result = MakeSolver(kind)->SolveGraph(g, opts, cluster);
+      auto result = apsp::Solve(g, test::ApspRequest(kind, opts, cluster)).run;
       ASSERT_TRUE(result.status.ok())
           << label << ": " << result.status.ToString();
       ASSERT_TRUE(result.distances.has_value()) << label;
@@ -307,10 +305,9 @@ TEST(SchedulerScaling, KsourceSmallBlocksMatchesOracleColumns) {
   for (KernelVariant variant : kAllVariants) {
     auto cluster = test::TestCluster();
     cluster.kernel_variant = variant;
-    apsp::KsourceOptions opts;
+    apsp::ApspOptions opts;
     opts.block_size = 8;  // q = 10
-    apsp::KsourceBlockedSolver solver;
-    auto result = solver.SolveGraph(g, sources, opts, cluster);
+    auto result = apsp::Solve(g, test::KsspRequest(sources, opts, cluster)).run;
     ASSERT_TRUE(result.status.ok()) << result.status.ToString();
     ASSERT_TRUE(result.distances.has_value());
     test::ExpectBitwiseEqual(*result.distances, expected,

@@ -6,8 +6,7 @@
 #include <stdexcept>
 #include <vector>
 
-#include "apsp/solver.h"
-#include "apsp/solvers/ksource_blocked.h"
+#include "apsp/api.h"
 #include "common/rng.h"
 #include "common/serial.h"
 #include "graph/generators.h"
@@ -164,10 +163,9 @@ TEST(Paths, KsourcePanelDistancesAreRealizedByReconstructedPaths) {
   APSPARK_SEEDED_CASE(seed);
   const graph::Graph g = graph::PaperErdosRenyi(56, seed);
   const std::vector<graph::VertexId> sources = {0, 7, 23, 41, 55};
-  apsp::KsourceOptions opts;
+  apsp::ApspOptions opts;
   opts.block_size = 16;
-  apsp::KsourceBlockedSolver solver;
-  auto result = solver.SolveGraph(g, sources, opts, test::TestCluster());
+  auto result = apsp::Solve(g, test::KsspRequest(sources, opts)).run;
   ASSERT_TRUE(result.status.ok()) << result.status.ToString();
   ASSERT_TRUE(result.distances.has_value());
   const auto& panel = *result.distances;
@@ -205,10 +203,9 @@ TEST(Paths, DirectedKsourcePanelRealizedOnDigraph) {
   const graph::Graph g = graph::ErdosRenyi(30, 0.2, {1.0, 5.0}, /*seed=*/9,
                                            /*directed=*/true);
   const std::vector<graph::VertexId> sources = {3, 11, 28};
-  apsp::KsourceOptions opts;
+  apsp::ApspOptions opts;
   opts.block_size = 8;
-  apsp::KsourceBlockedSolver solver;
-  auto result = solver.SolveGraph(g, sources, opts, test::TestCluster());
+  auto result = apsp::Solve(g, test::KsspRequest(sources, opts)).run;
   ASSERT_TRUE(result.status.ok());
   const auto& panel = *result.distances;
   const auto apsp = graph::FloydWarshallWithPaths(g);
@@ -411,14 +408,13 @@ TEST(KsourceEarlyExit, SkipIsBitwiseNoOpInEverySemiring) {
   const graph::Graph g = test::TwoComponentGraph(18, 5, 6);
   const std::vector<graph::VertexId> sources = {0, 3, 20, 35};
   for (const SemiringId id : kAllSemirings) {
-    apsp::KsourceOptions opts;
+    apsp::ApspOptions opts;
     opts.block_size = 9;
     opts.semiring = id;
-    apsp::KsourceBlockedSolver solver;
     opts.early_exit_infinite = true;
-    auto fast = solver.SolveGraph(g, sources, opts, test::TestCluster());
+    auto fast = apsp::Solve(g, test::KsspRequest(sources, opts)).run;
     opts.early_exit_infinite = false;
-    auto full = solver.SolveGraph(g, sources, opts, test::TestCluster());
+    auto full = apsp::Solve(g, test::KsspRequest(sources, opts)).run;
     ASSERT_TRUE(fast.status.ok()) << linalg::SemiringName(id);
     ASSERT_TRUE(full.status.ok()) << linalg::SemiringName(id);
     test::ExpectBitwiseEqual(*fast.distances, *full.distances,
@@ -504,8 +500,8 @@ TEST(SemiringEngine, BlockedSolversMatchOracleAcrossVariants) {
         apsp::ApspOptions opts;
         opts.block_size = 20;
         opts.semiring = id;
-        auto solver = apsp::MakeSolver(apsp::SolverKind::kBlockedInMemory);
-        auto result = solver->SolveGraph(g, opts, cluster);
+        const auto im = apsp::SolverKind::kBlockedInMemory;
+        auto result = apsp::Solve(g, test::ApspRequest(im, opts, cluster)).run;
         ASSERT_TRUE(result.status.ok())
             << linalg::SemiringName(id) << ": " << result.status.ToString();
         test::ExpectBitwiseEqual(
@@ -532,12 +528,11 @@ TEST(SemiringEngine, AllFourSolversAgreeWithOraclePerSemiring) {
       apsp::ApspOptions opts;
       opts.block_size = 14;
       opts.semiring = id;
-      auto solver = apsp::MakeSolver(kind);
-      auto result = solver->SolveGraph(g, opts, test::TestCluster());
+      auto result = apsp::Solve(g, test::ApspRequest(kind, opts)).run;
       ASSERT_TRUE(result.status.ok())
-          << solver->name() << "/" << linalg::SemiringName(id);
+          << apsp::SolverKindName(kind) << "/" << linalg::SemiringName(id);
       test::ExpectBitwiseEqual(*result.distances, expected,
-                               solver->name() + "/" +
+                               std::string(apsp::SolverKindName(kind)) + "/" +
                                    linalg::SemiringName(id));
     }
   }
@@ -563,12 +558,11 @@ TEST(SemiringEngine, KsourcePanelsMatchOracleColumns) {
     const DenseBlock adj = g.ToDenseAdjacency();
     for (const SemiringId id : kAllSemirings) {
       const DenseBlock closure = OracleClosure(adj, id);
-      apsp::KsourceOptions opts;
+      apsp::ApspOptions opts;
       opts.block_size = 16;
       opts.semiring = id;
       opts.directed = g.directed();
-      apsp::KsourceBlockedSolver solver;
-      auto result = solver.SolveGraph(g, sources, opts, test::TestCluster());
+      auto result = apsp::Solve(g, test::KsspRequest(sources, opts)).run;
       ASSERT_TRUE(result.status.ok()) << linalg::SemiringName(id);
       DenseBlock expected(n, static_cast<std::int64_t>(sources.size()), 0.0);
       for (std::size_t j = 0; j < sources.size(); ++j) {
@@ -665,11 +659,11 @@ TEST(BitpackedBoolean, SolverPackedMatchesDenseAndOracle) {
     apsp::ApspOptions opts;
     opts.block_size = 24;
     opts.semiring = SemiringId::kBoolean;
-    auto solver = apsp::MakeSolver(apsp::SolverKind::kBlockedCollectBroadcast);
     opts.bitpack_boolean = true;
-    auto packed = solver->SolveGraph(g, opts, test::TestCluster());
+    const auto cb = apsp::SolverKind::kBlockedCollectBroadcast;
+    auto packed = apsp::Solve(g, test::ApspRequest(cb, opts)).run;
     opts.bitpack_boolean = false;
-    auto dense = solver->SolveGraph(g, opts, test::TestCluster());
+    auto dense = apsp::Solve(g, test::ApspRequest(cb, opts)).run;
     ASSERT_TRUE(packed.status.ok());
     ASSERT_TRUE(dense.status.ok());
     EXPECT_TRUE(packed.distances->is_packed());
@@ -686,12 +680,12 @@ TEST(BitpackedBoolean, ModelRunAccountsAtLeast8xLessMemory) {
   apsp::ApspOptions opts;
   opts.block_size = 1024;
   opts.max_rounds = 2;
-  auto solver = apsp::MakeSolver(apsp::SolverKind::kBlockedInMemory);
   opts.semiring = SemiringId::kMinPlus;
-  auto dense = solver->SolveModel(8192, opts, test::TestCluster());
+  const auto im = apsp::SolverKind::kBlockedInMemory;
+  auto dense = apsp::SolveModel(8192, test::ApspRequest(im, opts)).run;
   opts.semiring = SemiringId::kBoolean;
   opts.bitpack_boolean = true;
-  auto packed = solver->SolveModel(8192, opts, test::TestCluster());
+  auto packed = apsp::SolveModel(8192, test::ApspRequest(im, opts)).run;
   ASSERT_TRUE(dense.status.ok()) << dense.status.ToString();
   ASSERT_TRUE(packed.status.ok()) << packed.status.ToString();
   ASSERT_GT(packed.metrics.node_peak_bytes, 0u);

@@ -4,7 +4,7 @@
 // resource-failure behaviour.
 #include <gtest/gtest.h>
 
-#include "apsp/solver.h"
+#include "apsp/api.h"
 #include "common/rng.h"
 #include "graph/generators.h"
 #include "graph/shortest_paths.h"
@@ -15,36 +15,28 @@ namespace {
 
 using apsp::ApspOptions;
 using apsp::BlockLayout;
-using apsp::MakeSolver;
 using apsp::PartitionerKind;
 using apsp::SolverKind;
 using test::TestCluster;
 
 TEST(SolverMeta, PurityFlagsMatchPaper) {
-  EXPECT_FALSE(MakeSolver(SolverKind::kRepeatedSquaring)->pure());
-  EXPECT_TRUE(MakeSolver(SolverKind::kFloydWarshall2d)->pure());
-  EXPECT_TRUE(MakeSolver(SolverKind::kBlockedInMemory)->pure());
-  EXPECT_FALSE(MakeSolver(SolverKind::kBlockedCollectBroadcast)->pure());
+  EXPECT_FALSE(apsp::SolverKindPure(SolverKind::kRepeatedSquaring));
+  EXPECT_TRUE(apsp::SolverKindPure(SolverKind::kFloydWarshall2d));
+  EXPECT_TRUE(apsp::SolverKindPure(SolverKind::kBlockedInMemory));
+  EXPECT_FALSE(apsp::SolverKindPure(SolverKind::kBlockedCollectBroadcast));
 }
 
 TEST(SolverMeta, IterationCountsMatchTable2) {
   // n = 262144, p = 1024, B = 2 — the iteration counts in Table 2.
   const std::int64_t n = 262144;
-  EXPECT_EQ(MakeSolver(SolverKind::kRepeatedSquaring)
-                ->TotalRounds(BlockLayout(n, 256)),
-            18432);
-  EXPECT_EQ(MakeSolver(SolverKind::kRepeatedSquaring)
-                ->TotalRounds(BlockLayout(n, 4096)),
-            1152);
-  EXPECT_EQ(MakeSolver(SolverKind::kFloydWarshall2d)
-                ->TotalRounds(BlockLayout(n, 1024)),
-            262144);
-  EXPECT_EQ(MakeSolver(SolverKind::kBlockedInMemory)
-                ->TotalRounds(BlockLayout(n, 1024)),
-            256);
-  EXPECT_EQ(MakeSolver(SolverKind::kBlockedCollectBroadcast)
-                ->TotalRounds(BlockLayout(n, 4096)),
-            64);
+  const auto rounds = [n](SolverKind kind, std::int64_t b) {
+    return apsp::SolverKindRounds(kind, BlockLayout(n, b));
+  };
+  EXPECT_EQ(rounds(SolverKind::kRepeatedSquaring, 256), 18432);
+  EXPECT_EQ(rounds(SolverKind::kRepeatedSquaring, 4096), 1152);
+  EXPECT_EQ(rounds(SolverKind::kFloydWarshall2d, 1024), 262144);
+  EXPECT_EQ(rounds(SolverKind::kBlockedInMemory, 1024), 256);
+  EXPECT_EQ(rounds(SolverKind::kBlockedCollectBroadcast, 4096), 64);
 }
 
 struct PropertyCase {
@@ -62,7 +54,7 @@ TEST_P(SolverProperties, OutputIsAMetricAndMatchesReference) {
   const graph::Graph g = graph::PaperErdosRenyi(c.n, c.seed);
   ApspOptions opts;
   opts.block_size = c.b;
-  auto result = MakeSolver(c.solver)->SolveGraph(g, opts, TestCluster());
+  auto result = apsp::Solve(g, test::ApspRequest(c.solver, opts)).run;
   ASSERT_TRUE(result.status.ok());
   ASSERT_TRUE(result.distances.has_value());
   const auto& d = *result.distances;
@@ -113,7 +105,7 @@ TEST(SolverEquivalence, AllBlockSizesAgree) {
     for (std::int64_t b : {1, 5, 20, 60, 100}) {
       ApspOptions opts;
       opts.block_size = b;
-      auto result = MakeSolver(kind)->SolveGraph(g, opts, TestCluster());
+      auto result = apsp::Solve(g, test::ApspRequest(kind, opts)).run;
       ASSERT_TRUE(result.status.ok())
           << SolverKindName(kind) << " b=" << b << ": "
           << result.status.ToString();
@@ -132,10 +124,9 @@ TEST(SolverConsistency, PhantomRunChargesSameTimeAsRealRun) {
     ApspOptions opts;
     opts.block_size = 16;
     opts.max_rounds = 2;
-    auto solver = MakeSolver(kind);
     const graph::Graph g = graph::PaperErdosRenyi(n, 13);
-    auto real = solver->SolveGraph(g, opts, TestCluster());
-    auto phantom = solver->SolveModel(n, opts, TestCluster());
+    auto real = apsp::Solve(g, test::ApspRequest(kind, opts)).run;
+    auto phantom = apsp::SolveModel(n, test::ApspRequest(kind, opts)).run;
     ASSERT_TRUE(real.status.ok()) << SolverKindName(kind);
     ASSERT_TRUE(phantom.status.ok()) << SolverKindName(kind);
     EXPECT_NEAR(real.sim_seconds, phantom.sim_seconds,
@@ -157,12 +148,12 @@ TEST(SolverConsistency, ProjectionApproximatesFullRun) {
                           SolverKind::kBlockedInMemory}) {
     ApspOptions full_opts;
     full_opts.block_size = 16;
-    auto solver = MakeSolver(kind);
-    auto full = solver->SolveModel(n, full_opts, TestCluster());
+    auto full = apsp::SolveModel(n, test::ApspRequest(kind, full_opts)).run;
     ASSERT_TRUE(full.status.ok());
     ApspOptions partial_opts = full_opts;
     partial_opts.max_rounds = std::max<std::int64_t>(1, full.rounds_total / 3);
-    auto partial = solver->SolveModel(n, partial_opts, TestCluster());
+    auto partial =
+        apsp::SolveModel(n, test::ApspRequest(kind, partial_opts)).run;
     ASSERT_TRUE(partial.status.ok());
     EXPECT_NEAR(partial.projected_seconds, full.sim_seconds,
                 full.sim_seconds * 0.25)
@@ -175,8 +166,7 @@ TEST(SolverFaults, PureSolversSurviveInjectedTaskFailures) {
   const auto truth = graph::DijkstraAllPairs(g);
   for (SolverKind kind : {SolverKind::kFloydWarshall2d,
                           SolverKind::kBlockedInMemory}) {
-    auto solver = MakeSolver(kind);
-    ASSERT_TRUE(solver->pure());
+    ASSERT_TRUE(apsp::SolverKindPure(kind));
     const BlockLayout layout(40, 10);
     sparklet::SparkletContext ctx(TestCluster());
     // Fail assorted tasks of the per-iteration operators a few times.
@@ -188,8 +178,9 @@ TEST(SolverFaults, PureSolversSurviveInjectedTaskFailures) {
     }
     ApspOptions opts;
     opts.block_size = 10;
-    auto result = solver->Solve(
-        ctx, layout, layout.Decompose(g.ToDenseAdjacency()), opts);
+    auto result = apsp::Solve(
+        ctx, layout, layout.Decompose(g.ToDenseAdjacency()),
+        test::ApspRequest(kind, opts)).run;
     ASSERT_TRUE(result.status.ok()) << SolverKindName(kind);
     EXPECT_GT(ctx.metrics().task_failures, 0u) << "no failure injected";
     ASSERT_TRUE(result.distances.has_value());
@@ -206,13 +197,14 @@ TEST(SolverFaults, BlockedInMemoryDiesWhenLocalStorageTooSmall) {
   const graph::Graph g = graph::PaperErdosRenyi(64, 33);
   ApspOptions opts;
   opts.block_size = 8;
-  auto result = MakeSolver(SolverKind::kBlockedInMemory)
-                    ->SolveGraph(g, opts, cfg);
+  auto result = apsp::Solve(
+      g, test::ApspRequest(SolverKind::kBlockedInMemory, opts, cfg)).run;
   EXPECT_EQ(result.status.code(), StatusCode::kResourceExhausted);
   EXPECT_FALSE(result.distances.has_value());
   // Blocked-CB on the same budget survives: it shuffles far less data.
-  auto cb = MakeSolver(SolverKind::kBlockedCollectBroadcast)
-                ->SolveGraph(g, opts, cfg);
+  auto cb = apsp::Solve(
+      g,
+      test::ApspRequest(SolverKind::kBlockedCollectBroadcast, opts, cfg)).run;
   EXPECT_TRUE(cb.status.ok()) << cb.status.ToString();
 }
 
@@ -227,9 +219,9 @@ TEST(SolverFaults, ImpureSolverBreaksIfSideChannelCleared) {
   // dropped partition forces recomputation against missing files.
   ApspOptions opts;
   opts.block_size = 8;
-  auto solver = MakeSolver(SolverKind::kBlockedCollectBroadcast);
-  auto result = solver->Solve(ctx, layout,
-                              layout.Decompose(g.ToDenseAdjacency()), opts);
+  auto result = apsp::Solve(
+      ctx, layout, layout.Decompose(g.ToDenseAdjacency()),
+      test::ApspRequest(SolverKind::kBlockedCollectBroadcast, opts)).run;
   ASSERT_TRUE(result.status.ok());
   EXPECT_GT(ctx.shared_storage().object_count(), 0u);
   ctx.shared_storage().Clear();
@@ -247,11 +239,11 @@ TEST(SolverScaling, LargeProblemsBenefitFromMoreCores) {
     ApspOptions opts;
     opts.block_size = 2048;
     opts.max_rounds = 1;
-    auto solver = MakeSolver(kind);
-    auto small = solver->SolveModel(
-        65536, opts, sparklet::ClusterConfig::PaperWithCores(64));
-    auto large = solver->SolveModel(
-        65536, opts, sparklet::ClusterConfig::PaperWithCores(1024));
+    const auto paper = sparklet::ClusterConfig::PaperWithCores;
+    auto small =
+        apsp::SolveModel(65536, test::ApspRequest(kind, opts, paper(64))).run;
+    auto large =
+        apsp::SolveModel(65536, test::ApspRequest(kind, opts, paper(1024))).run;
     ASSERT_TRUE(small.status.ok());
     ASSERT_TRUE(large.status.ok());
     EXPECT_LT(large.sim_seconds, small.sim_seconds * 0.5)
@@ -264,7 +256,7 @@ TEST(SolverDegenerate, SingleVertexAndSingleBlock) {
   for (SolverKind kind : apsp::AllSolverKinds()) {
     ApspOptions opts;
     opts.block_size = 4;
-    auto result = MakeSolver(kind)->SolveGraph(g, opts, TestCluster());
+    auto result = apsp::Solve(g, test::ApspRequest(kind, opts)).run;
     ASSERT_TRUE(result.status.ok()) << SolverKindName(kind);
     ASSERT_TRUE(result.distances.has_value());
     EXPECT_EQ(result.distances->At(0, 0), 0.0);
@@ -276,7 +268,7 @@ TEST(SolverDegenerate, BlockSizeLargerThanMatrix) {
   for (SolverKind kind : apsp::AllSolverKinds()) {
     ApspOptions opts;
     opts.block_size = 64;  // single block
-    auto result = MakeSolver(kind)->SolveGraph(g, opts, TestCluster());
+    auto result = apsp::Solve(g, test::ApspRequest(kind, opts)).run;
     ASSERT_TRUE(result.status.ok()) << SolverKindName(kind);
     EXPECT_EQ(result.distances->At(0, 9), 27.0);
   }
@@ -289,11 +281,11 @@ TEST(SolverStructured, KnownDistancesOnFamilies) {
   for (SolverKind kind : apsp::AllSolverKinds()) {
     ApspOptions opts;
     opts.block_size = 5;
-    auto rc = MakeSolver(kind)->SolveGraph(cycle, opts, TestCluster());
+    auto rc = apsp::Solve(cycle, test::ApspRequest(kind, opts)).run;
     ASSERT_TRUE(rc.status.ok());
     EXPECT_EQ(rc.distances->At(0, 6), 12.0);
     EXPECT_EQ(rc.distances->At(0, 11), 2.0);
-    auto rs = MakeSolver(kind)->SolveGraph(star, opts, TestCluster());
+    auto rs = apsp::Solve(star, test::ApspRequest(kind, opts)).run;
     ASSERT_TRUE(rs.status.ok());
     EXPECT_EQ(rs.distances->At(3, 7), 3.0);
     EXPECT_EQ(rs.distances->At(0, 8), 1.5);

@@ -3,7 +3,7 @@
 // families, block sizes, partitioners and cluster shapes.
 #include <gtest/gtest.h>
 
-#include "apsp/solver.h"
+#include "apsp/api.h"
 #include "graph/generators.h"
 #include "graph/shortest_paths.h"
 #include "test_support.h"
@@ -13,7 +13,6 @@ namespace {
 
 using apsp::ApspOptions;
 using apsp::ApspRunResult;
-using apsp::MakeSolver;
 using apsp::PartitionerKind;
 using apsp::SolverKind;
 using graph::Graph;
@@ -42,9 +41,8 @@ TEST_P(SolverCorrectness, ErdosRenyi) {
   ApspOptions opts;
   opts.block_size = c.block_size;
   opts.partitioner = c.partitioner;
-  auto solver = MakeSolver(c.solver);
-  auto result = solver->SolveGraph(g, opts, TestCluster());
-  ExpectMatchesDijkstra(g, result, solver->name());
+  auto result = apsp::Solve(g, test::ApspRequest(c.solver, opts)).run;
+  ExpectMatchesDijkstra(g, result, apsp::SolverKindName(c.solver));
 }
 
 TEST_P(SolverCorrectness, DisconnectedGraph) {
@@ -55,9 +53,8 @@ TEST_P(SolverCorrectness, DisconnectedGraph) {
   ApspOptions opts;
   opts.block_size = c.block_size;
   opts.partitioner = c.partitioner;
-  auto solver = MakeSolver(c.solver);
-  auto result = solver->SolveGraph(g, opts, TestCluster());
-  ExpectMatchesDijkstra(g, result, solver->name());
+  auto result = apsp::Solve(g, test::ApspRequest(c.solver, opts)).run;
+  ExpectMatchesDijkstra(g, result, apsp::SolverKindName(c.solver));
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -96,12 +93,11 @@ TEST(SolverDirected, AllSolversMatchJohnsonOnDigraph) {
     ApspOptions opts;
     opts.block_size = 16;
     opts.directed = true;
-    auto solver = MakeSolver(kind);
-    auto result = solver->SolveGraph(g, opts, TestCluster());
-    ASSERT_TRUE(result.status.ok()) << solver->name();
-    ASSERT_TRUE(result.distances.has_value()) << solver->name();
+    auto result = apsp::Solve(g, test::ApspRequest(kind, opts)).run;
+    ASSERT_TRUE(result.status.ok()) << apsp::SolverKindName(kind);
+    ASSERT_TRUE(result.distances.has_value()) << apsp::SolverKindName(kind);
     EXPECT_TRUE(result.distances->ApproxEquals(*truth, 1e-9))
-        << solver->name() << ": max diff "
+        << apsp::SolverKindName(kind) << ": max diff "
         << result.distances->MaxAbsDiff(*truth);
   }
 }

@@ -16,6 +16,7 @@
 #include <string>
 #include <vector>
 
+#include "apsp/api.h"
 #include "common/bytes.h"
 #include "common/rng.h"
 #include "graph/generators.h"
@@ -36,6 +37,29 @@ inline sparklet::ClusterConfig TestCluster() {
   auto cfg = sparklet::ClusterConfig::TinyTest();
   cfg.local_storage_bytes = 16ULL * kGiB;
   return cfg;
+}
+
+/// An APSP request for `kind` with `options` on `cluster`.
+inline apsp::SolveRequest ApspRequest(
+    apsp::SolverKind kind, const apsp::ApspOptions& options,
+    const sparklet::ClusterConfig& cluster = TestCluster()) {
+  apsp::SolveRequest request;
+  request.solver = kind;
+  request.options = options;
+  request.cluster = cluster;
+  return request;
+}
+
+/// A KSSP request from `sources` with `options` on `cluster`.
+inline apsp::SolveRequest KsspRequest(
+    const std::vector<graph::VertexId>& sources,
+    const apsp::ApspOptions& options,
+    const sparklet::ClusterConfig& cluster = TestCluster()) {
+  apsp::SolveRequest request;
+  request.options = options;
+  request.sources = sources;
+  request.cluster = cluster;
+  return request;
 }
 
 /// Bitwise block comparator: shapes, infinity patterns, and payload bit

@@ -24,8 +24,6 @@
 
 #include "apsp/api.h"
 #include "apsp/persist.h"
-#include "apsp/solver.h"
-#include "apsp/solvers/ksource_blocked.h"
 #include "apsp/tuner.h"
 #include "common/rng.h"
 #include "common/time_utils.h"
@@ -620,66 +618,49 @@ Result<apsp::SolverKind> ParseSolver(const std::string& name) {
   return InvalidArgumentError("unknown solver '" + name + "'");
 }
 
-/// The durability/fault/membership schedule all workloads share — assigned
-/// into both ApspOptions and KsourceOptions through their RunPlan base.
-apsp::RunPlan BuildRunPlan(const Args& args) {
-  apsp::RunPlan plan;
-  plan.checkpoint_every = args.checkpoint_every;
-  plan.fail_nodes = args.fail_nodes;
-  plan.fail_racks = args.fail_racks;
-  plan.add_nodes = args.add_nodes;
-  return plan;
-}
-
 /// Membership plans that parse fine can still be nonsense for the actual
 /// cluster: a node or rack id past the config, or the same plan armed twice
 /// at one stage boundary (it would silently be a no-op — the second loss
 /// finds the node already dead). Rejected here with a clear error instead.
-bool ValidateMembershipPlans(const Args& args,
-                             const sparklet::ClusterConfig& cluster) {
+Status ValidateMembershipPlans(const Args& args,
+                               const sparklet::ClusterConfig& cluster) {
   for (std::size_t i = 0; i < args.fail_nodes.size(); ++i) {
     const auto& plan = args.fail_nodes[i];
+    const std::string name = "--fail-node " + std::to_string(plan.node) +
+                             "@" + std::to_string(plan.at_stage);
     if (plan.node >= cluster.nodes) {
-      std::fprintf(stderr,
-                   "--fail-node %d@%lld: node out of range for a %d-node "
-                   "cluster (valid: 0..%d)\n",
-                   plan.node, static_cast<long long>(plan.at_stage),
-                   cluster.nodes, cluster.nodes - 1);
-      return false;
+      return InvalidArgumentError(
+          name + ": node out of range for a " + std::to_string(cluster.nodes) +
+          "-node cluster (valid: 0.." + std::to_string(cluster.nodes - 1) +
+          ")");
     }
     for (std::size_t j = i + 1; j < args.fail_nodes.size(); ++j) {
       if (args.fail_nodes[j].node == plan.node &&
           args.fail_nodes[j].at_stage == plan.at_stage) {
-        std::fprintf(stderr,
-                     "--fail-node %d@%lld given twice: a node dies once per "
-                     "stage boundary\n",
-                     plan.node, static_cast<long long>(plan.at_stage));
-        return false;
+        return InvalidArgumentError(
+            name + " given twice: a node dies once per stage boundary");
       }
     }
   }
   for (std::size_t i = 0; i < args.fail_racks.size(); ++i) {
     const auto& plan = args.fail_racks[i];
+    const std::string name = "--fail-rack " + std::to_string(plan.rack) +
+                             "@" + std::to_string(plan.at_stage);
     if (plan.rack >= args.racks) {
-      std::fprintf(stderr,
-                   "--fail-rack %d@%lld: rack out of range for --racks %d "
-                   "(valid: 0..%d)\n",
-                   plan.rack, static_cast<long long>(plan.at_stage),
-                   args.racks, args.racks - 1);
-      return false;
+      return InvalidArgumentError(
+          name + ": rack out of range for --racks " +
+          std::to_string(args.racks) + " (valid: 0.." +
+          std::to_string(args.racks - 1) + ")");
     }
     for (std::size_t j = i + 1; j < args.fail_racks.size(); ++j) {
       if (args.fail_racks[j].rack == plan.rack &&
           args.fail_racks[j].at_stage == plan.at_stage) {
-        std::fprintf(stderr,
-                     "--fail-rack %d@%lld given twice: a rack dies once per "
-                     "stage boundary\n",
-                     plan.rack, static_cast<long long>(plan.at_stage));
-        return false;
+        return InvalidArgumentError(
+            name + " given twice: a rack dies once per stage boundary");
       }
     }
   }
-  return true;
+  return Status::Ok();
 }
 
 /// Fault-tolerance report: printed whenever the run saw failures, replays,
@@ -740,121 +721,117 @@ Result<apsp::KsourceVariant> ResolveKsourceVariant(
   return *variant;
 }
 
-int RunSolve(const Args& args) {
-  graph::Graph g(0);
-  if (!args.input.empty()) {
-    auto loaded = graph::ReadEdgeListTextFile(args.input);
-    if (!loaded.ok()) return Fail(loaded.status());
-    g = *loaded;
-  } else if (args.n > 0) {
-    g = graph::ErdosRenyi(args.n, graph::PaperEdgeProbability(args.n),
-                          {1.0, 10.0}, args.seed, args.directed);
-  } else {
-    return Usage(args);
-  }
+/// The flags solve and model read the same way: the algebra, the run plan,
+/// the modelled cluster's behaviour and, with --sources, the KSSP source
+/// set and data plane. `n` is the vertex count the sources are drawn from.
+Status ApplyCommonFlags(const Args& args, std::int64_t n,
+                        apsp::SolveRequest& request) {
   auto kind = ParseSolver(args.solver);
-  if (!kind.ok()) return Fail(kind.status());
+  if (!kind.ok()) return kind.status();
+  request.solver = *kind;
   const auto semiring = linalg::ParseSemiring(args.semiring);
   if (!semiring.has_value()) {
-    return Fail(InvalidArgumentError("unknown semiring '" + args.semiring +
-                                     "'"));
+    return InvalidArgumentError("unknown semiring '" + args.semiring + "'");
   }
-
-  apsp::SolveRequest request;
-  request.solver = *kind;
   auto& options = request.options;
   options.semiring = *semiring;
   options.bitpack_boolean = !args.no_bitpack;
+  options.directed = args.directed;
+  options.early_exit_infinite = !args.no_early_exit;
+  options.checkpoint_every = args.checkpoint_every;
+  options.fail_nodes = args.fail_nodes;
+  options.fail_racks = args.fail_racks;
+  options.add_nodes = args.add_nodes;
+  auto& cluster = request.cluster;
+  cluster.intra_task_cores = args.intra_task_cores;
+  cluster.straggler_factor = args.straggler_factor;
+  cluster.straggler_every = args.straggler_every;
+  cluster.speculation = args.speculate;
+  cluster.racks = args.racks;
+  Status plans = ValidateMembershipPlans(args, cluster);
+  if (!plans.ok()) return plans;
+  if (args.sources > 0) {
+    const auto variant =
+        ResolveKsourceVariant(args, n, options.block_size, cluster);
+    if (!variant.ok()) return variant.status();
+    options.variant = *variant;
+    request.sources = PickSources(n, args.sources);
+  }
+  return Status::Ok();
+}
+
+bool BitPacked(const apsp::ApspOptions& options) {
+  return options.semiring == linalg::SemiringId::kBoolean &&
+         options.bitpack_boolean;
+}
+
+void PrintMemory(const sparklet::SimMetrics& m) {
+  std::printf("memory: driver high-water %s, node high-water %s\n",
+              FormatBytes(m.driver_peak_bytes).c_str(),
+              FormatBytes(m.node_peak_bytes).c_str());
+}
+
+Result<apsp::SolveRequest> BuildSolveRequest(const Args& args,
+                                             const graph::Graph& g) {
+  apsp::SolveRequest request;
+  auto& options = request.options;
   options.block_size =
       args.block > 0 ? args.block
                      : std::max<std::int64_t>(1, g.num_vertices() / 4);
   options.partitioner = args.partitioner == "ph"
                             ? apsp::PartitionerKind::kPortableHash
                             : apsp::PartitionerKind::kMultiDiagonal;
-  options.directed = args.directed;
-  static_cast<apsp::RunPlan&>(options) = BuildRunPlan(args);
   auto& cluster = request.cluster;
   cluster.nodes = std::max(1, args.cores / 2);
   cluster.cores_per_node = 2;
   cluster.local_storage_bytes = 64ULL * kGiB;
   const auto kernel = linalg::ParseKernelVariant(args.kernel);
   if (!kernel.has_value()) {
-    return Fail(InvalidArgumentError("unknown kernel variant '" + args.kernel +
-                                     "'"));
+    return InvalidArgumentError("unknown kernel variant '" + args.kernel +
+                                "'");
   }
   cluster.kernel_variant = *kernel;
-  cluster.intra_task_cores = args.intra_task_cores;
-  cluster.straggler_factor = args.straggler_factor;
-  cluster.straggler_every = args.straggler_every;
-  cluster.speculation = args.speculate;
-  cluster.racks = args.racks;
-  if (!ValidateMembershipPlans(args, cluster)) return 2;
+  Status common = ApplyCommonFlags(args, g.num_vertices(), request);
+  if (!common.ok()) return common;
+  return request;
+}
 
-  if (args.sources > 0) {
-    // Batched k-source mode: rectangular n x K frontier on the kernel
-    // registry instead of the full APSP matrix.
-    apsp::KsourceOptions kopts;
-    static_cast<apsp::RunPlan&>(kopts) = BuildRunPlan(args);
-    kopts.block_size = options.block_size;
-    kopts.semiring = options.semiring;
-    kopts.partitioner = options.partitioner;
-    kopts.directed = args.directed;
-    kopts.early_exit_infinite = !args.no_early_exit;
-    const auto variant = ResolveKsourceVariant(
-        args, g.num_vertices(), kopts.block_size, cluster);
-    if (!variant.ok()) return Fail(variant.status());
-    kopts.variant = *variant;
-    apsp::KsourceBlockedSolver ksolver;
-    const auto sources = PickSources(g.num_vertices(), args.sources);
+int PrintSolveReport(const Args& args, const graph::Graph& g,
+                     const apsp::SolveRequest& request,
+                     const apsp::SolveReport& report) {
+  const auto& options = request.options;
+  const bool kssp = request.sources.has_value();
+  if (kssp) {
     std::printf(
         "solving %s k-source (k = %lld) with %s [%s%s] (b = %lld, %s)\n",
-        g.Summary().c_str(), static_cast<long long>(args.sources),
-        ksolver.name().c_str(), apsp::KsourceVariantName(kopts.variant),
-        apsp::KsourceBlockedSolver::Pure(kopts.variant) ? ", pure"
-                                                        : ", impure",
-        static_cast<long long>(kopts.block_size),
-        linalg::SemiringName(kopts.semiring));
-    PrintKernelTuning(*kernel);
-    auto kresult = ksolver.SolveGraph(g, sources, kopts, cluster);
-    if (!kresult.status.ok()) return Fail(kresult.status);
-    std::printf("done: %lld pivots, simulated cluster time %s\n",
-                static_cast<long long>(kresult.rounds_executed),
-                FormatDuration(kresult.sim_seconds).c_str());
-    std::printf("engine: %s\n", kresult.metrics.Summary().c_str());
-    std::printf("memory: driver high-water %s, node high-water %s\n",
-                FormatBytes(kresult.metrics.driver_peak_bytes).c_str(),
-                FormatBytes(kresult.metrics.node_peak_bytes).c_str());
-    PrintRecovery(kresult.metrics);
-    if (!EmitRunMetrics(args, kresult.metrics)) return 1;
-    if (!args.output.empty()) {
-      if (!WriteDenseBlock(args.output, *kresult.distances)) return 1;
-      std::printf("distance panel (n x k) written to %s\n",
-                  args.output.c_str());
-    }
-    return 0;
+        g.Summary().c_str(), static_cast<long long>(request.sources->size()),
+        report.solver_name.c_str(), apsp::KsourceVariantName(options.variant),
+        report.pure ? ", pure" : ", impure",
+        static_cast<long long>(options.block_size),
+        linalg::SemiringName(options.semiring));
+  } else {
+    std::printf("solving %s with %s (b = %lld%s, %s%s)\n",
+                g.Summary().c_str(), report.solver_name.c_str(),
+                static_cast<long long>(options.block_size),
+                report.pure ? ", pure" : ", impure",
+                linalg::SemiringName(options.semiring),
+                BitPacked(options) ? " bit-packed" : "");
   }
-
-  auto report = apsp::Solve(g, request);
-  std::printf("solving %s with %s (b = %lld%s, %s%s)\n", g.Summary().c_str(),
-              report.solver_name.c_str(),
-              static_cast<long long>(options.block_size),
-              report.pure ? ", pure" : ", impure",
-              linalg::SemiringName(options.semiring),
-              options.semiring == linalg::SemiringId::kBoolean &&
-                      options.bitpack_boolean
-                  ? " bit-packed"
-                  : "");
-  PrintKernelTuning(*kernel);
+  PrintKernelTuning(request.cluster.kernel_variant);
   if (!report.ok()) return Fail(report.status());
-  std::printf("done: %lld rounds, simulated cluster time %s\n",
+  std::printf("done: %lld %s, simulated cluster time %s\n",
               static_cast<long long>(report.run.rounds_executed),
+              kssp ? "pivots" : "rounds",
               FormatDuration(report.run.sim_seconds).c_str());
   std::printf("engine: %s\n", report.metrics().Summary().c_str());
+  if (kssp) PrintMemory(report.metrics());
   PrintRecovery(report.metrics());
   if (!EmitRunMetrics(args, report.metrics())) return 1;
   if (!args.output.empty()) {
     if (!WriteDenseBlock(args.output, *report.distances())) return 1;
-    std::printf("distances written to %s\n", args.output.c_str());
+    std::printf(kssp ? "distance panel (n x k) written to %s\n"
+                     : "distances written to %s\n",
+                args.output.c_str());
   }
   if (!args.persist.empty()) {
     apsp::PersistOptions popts;
@@ -875,6 +852,28 @@ int RunSolve(const Args& args) {
   return 0;
 }
 
+int RunSolve(const Args& args) {
+  if (args.sources > 0 && !args.persist.empty()) {
+    // A store holds a square distance matrix; a KSSP panel is n x k.
+    return Fail(InvalidArgumentError(
+        "--persist stores an APSP solve; it does not apply to --sources"));
+  }
+  graph::Graph g(0);
+  if (!args.input.empty()) {
+    auto loaded = graph::ReadEdgeListTextFile(args.input);
+    if (!loaded.ok()) return Fail(loaded.status());
+    g = *loaded;
+  } else if (args.n > 0) {
+    g = graph::ErdosRenyi(args.n, graph::PaperEdgeProbability(args.n),
+                          {1.0, 10.0}, args.seed, args.directed);
+  } else {
+    return Usage(args);
+  }
+  auto request = BuildSolveRequest(args, g);
+  if (!request.ok()) return Fail(request.status());
+  return PrintSolveReport(args, g, *request, apsp::Solve(g, *request));
+}
+
 int RunPlan(const Args& args) {
   if (args.n <= 1) return Usage(args);
   apsp::TuneRequest request;
@@ -892,97 +891,60 @@ int RunPlan(const Args& args) {
   return 0;
 }
 
-int RunModel(const Args& args) {
-  if (args.n <= 1) return Usage(args);
-  const auto semiring = linalg::ParseSemiring(args.semiring);
-  if (!semiring.has_value()) {
-    return Fail(InvalidArgumentError("unknown semiring '" + args.semiring +
-                                     "'"));
-  }
-  if (args.sources > 0) {
-    apsp::KsourceOptions kopts;
-    static_cast<apsp::RunPlan&>(kopts) = BuildRunPlan(args);
-    kopts.block_size = args.block > 0 ? args.block : 1024;
-    kopts.semiring = *semiring;
-    kopts.max_rounds = args.rounds > 0 ? args.rounds : 1;
-    kopts.directed = args.directed;
-    kopts.early_exit_infinite = !args.no_early_exit;
-    auto cluster = sparklet::ClusterConfig::PaperWithCores(
-        args.cores > 4 ? args.cores : 1024);
-    cluster.intra_task_cores = args.intra_task_cores;
-    cluster.straggler_factor = args.straggler_factor;
-    cluster.straggler_every = args.straggler_every;
-    cluster.speculation = args.speculate;
-    cluster.racks = args.racks;
-    if (!ValidateMembershipPlans(args, cluster)) return 2;
-    const auto variant =
-        ResolveKsourceVariant(args, args.n, kopts.block_size, cluster);
-    if (!variant.ok()) return Fail(variant.status());
-    kopts.variant = *variant;
-    apsp::KsourceBlockedSolver solver;
-    auto result =
-        solver.SolveModel(args.n, args.sources, kopts, cluster);
-    std::printf("%s [%s], n = %lld, k = %lld, b = %lld on %s\n",
-                solver.name().c_str(),
-                apsp::KsourceVariantName(kopts.variant),
-                static_cast<long long>(args.n),
-                static_cast<long long>(args.sources),
-                static_cast<long long>(kopts.block_size),
-                cluster.Summary().c_str());
-    std::printf("pivots: %lld of %lld, projected %s\n",
-                static_cast<long long>(result.rounds_executed),
-                static_cast<long long>(result.rounds_total),
-                FormatDuration(result.projected_seconds).c_str());
-    std::printf("engine: %s\n", result.metrics.Summary().c_str());
-    std::printf("memory: driver high-water %s, node high-water %s\n",
-                FormatBytes(result.metrics.driver_peak_bytes).c_str(),
-                FormatBytes(result.metrics.node_peak_bytes).c_str());
-    PrintRecovery(result.metrics);
-    if (!EmitRunMetrics(args, result.metrics)) return 1;
-    return result.status.ok() ? 0 : 1;
-  }
-  auto kind = ParseSolver(args.solver);
-  if (!kind.ok()) return Fail(kind.status());
-
+Result<apsp::SolveRequest> BuildModelRequest(const Args& args) {
   apsp::SolveRequest request;
-  request.solver = *kind;
-  auto& options = request.options;
-  static_cast<apsp::RunPlan&>(options) = BuildRunPlan(args);
-  options.block_size = args.block > 0 ? args.block : 1024;
-  options.semiring = *semiring;
-  options.bitpack_boolean = !args.no_bitpack;
-  options.max_rounds = args.rounds > 0 ? args.rounds : 1;
+  request.options.block_size = args.block > 0 ? args.block : 1024;
+  request.options.max_rounds = args.rounds > 0 ? args.rounds : 1;
   request.cluster = sparklet::ClusterConfig::PaperWithCores(
       args.cores > 4 ? args.cores : 1024);
-  auto& cluster = request.cluster;
-  cluster.intra_task_cores = args.intra_task_cores;
-  cluster.straggler_factor = args.straggler_factor;
-  cluster.straggler_every = args.straggler_every;
-  cluster.speculation = args.speculate;
-  cluster.racks = args.racks;
-  if (!ValidateMembershipPlans(args, cluster)) return 2;
-  auto report = apsp::SolveModel(args.n, request);
-  const auto& result = report.run;
-  std::printf("%s, n = %lld, b = %lld, %s%s on %s\n",
-              report.solver_name.c_str(), static_cast<long long>(args.n),
-              static_cast<long long>(options.block_size),
-              linalg::SemiringName(options.semiring),
-              options.semiring == linalg::SemiringId::kBoolean &&
-                      options.bitpack_boolean
-                  ? " bit-packed"
-                  : "",
-              cluster.Summary().c_str());
-  std::printf("rounds: %lld of %lld, per-round %s, projected %s%s\n",
-              static_cast<long long>(result.rounds_executed),
-              static_cast<long long>(result.rounds_total),
-              FormatDuration(result.SecondsPerRound()).c_str(),
-              FormatDuration(result.projected_seconds).c_str(),
-              result.projected_storage_exceeded ? "  [would exhaust storage]"
-                                                : "");
+  Status common = ApplyCommonFlags(args, args.n, request);
+  if (!common.ok()) return common;
+  return request;
+}
+
+int PrintModelReport(const Args& args, const apsp::SolveRequest& request,
+                     const apsp::SolveReport& report) {
+  const auto& options = request.options;
+  const auto& run = report.run;
+  if (request.sources.has_value()) {
+    std::printf("%s [%s], n = %lld, k = %lld, b = %lld on %s\n",
+                report.solver_name.c_str(),
+                apsp::KsourceVariantName(options.variant),
+                static_cast<long long>(args.n),
+                static_cast<long long>(request.sources->size()),
+                static_cast<long long>(options.block_size),
+                request.cluster.Summary().c_str());
+    std::printf("pivots: %lld of %lld, projected %s\n",
+                static_cast<long long>(run.rounds_executed),
+                static_cast<long long>(run.rounds_total),
+                FormatDuration(run.projected_seconds).c_str());
+  } else {
+    std::printf("%s, n = %lld, b = %lld, %s%s on %s\n",
+                report.solver_name.c_str(), static_cast<long long>(args.n),
+                static_cast<long long>(options.block_size),
+                linalg::SemiringName(options.semiring),
+                BitPacked(options) ? " bit-packed" : "",
+                request.cluster.Summary().c_str());
+    std::printf("rounds: %lld of %lld, per-round %s, projected %s%s\n",
+                static_cast<long long>(run.rounds_executed),
+                static_cast<long long>(run.rounds_total),
+                FormatDuration(run.SecondsPerRound()).c_str(),
+                FormatDuration(run.projected_seconds).c_str(),
+                run.projected_storage_exceeded ? "  [would exhaust storage]"
+                                               : "");
+  }
   std::printf("engine: %s\n", report.metrics().Summary().c_str());
+  if (request.sources.has_value()) PrintMemory(report.metrics());
   PrintRecovery(report.metrics());
   if (!EmitRunMetrics(args, report.metrics())) return 1;
-  return 0;
+  return report.ok() ? 0 : Fail(report.status());
+}
+
+int RunModel(const Args& args) {
+  if (args.n <= 1) return Usage(args);
+  auto request = BuildModelRequest(args);
+  if (!request.ok()) return Fail(request.status());
+  return PrintModelReport(args, *request, apsp::SolveModel(args.n, *request));
 }
 
 int RunServe(const Args& args) {
