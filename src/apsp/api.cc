@@ -6,6 +6,7 @@
 
 #include "apsp/solver.h"
 #include "apsp/solvers/ksource_blocked.h"
+#include "common/math_utils.h"
 
 namespace apspark::apsp {
 
@@ -88,7 +89,17 @@ bool SolverKindPure(SolverKind kind) noexcept {
 }
 
 std::int64_t SolverKindRounds(SolverKind kind, const BlockLayout& layout) {
-  return SolverFor(kind).TotalRounds(layout);
+  switch (kind) {
+    case SolverKind::kRepeatedSquaring:
+      // One round per column sweep: ceil(log2 n) squarings of q sweeps.
+      return static_cast<std::int64_t>(CeilLog2(layout.n())) * layout.q();
+    case SolverKind::kFloydWarshall2d:
+      return layout.n();
+    case SolverKind::kBlockedInMemory:
+    case SolverKind::kBlockedCollectBroadcast:
+      return layout.q();
+  }
+  return 0;
 }
 
 std::vector<SolverKind> AllSolverKinds() {

@@ -11,72 +11,32 @@
 
 namespace apspark::apsp {
 
-namespace {
+ApspWorkload::ApspWorkload(SolverKind kind, sparklet::SparkletContext& ctx,
+                           const BlockLayout& layout,
+                           const std::vector<BlockRecord>& blocks,
+                           const ApspOptions& opts)
+    : kind_(kind),
+      layout_(layout),
+      blocks_(blocks),
+      opts_(opts),
+      partitioner_(MakeBlockPartitioner(opts.partitioner, layout,
+                                        NumPartitions(ctx, opts))) {}
 
-class ApspWorkload final : public Workload {
- public:
-  ApspWorkload(const ApspSolver& solver, sparklet::SparkletContext& ctx,
-               const BlockLayout& layout,
-               const std::vector<BlockRecord>& blocks, const ApspOptions& opts)
-      : solver_(solver),
-        layout_(layout),
-        blocks_(blocks),
-        opts_(opts),
-        partitioner_(MakeBlockPartitioner(opts.partitioner, layout,
-                                          NumPartitions(ctx, opts))) {}
+std::int64_t ApspWorkload::TotalRounds() const {
+  return SolverKindRounds(kind_, layout_);
+}
 
-  std::int64_t TotalRounds() const override {
-    return solver_.TotalRounds(layout_);
-  }
+void ApspWorkload::Seed(sparklet::SparkletContext& ctx,
+                        const CheckpointInfo* checkpoint,
+                        const std::string& tag) {
+  final_.reset();
+  a_ = ctx.ParallelizePartitioned(
+      "A" + tag, checkpoint != nullptr ? checkpoint->blocks : blocks_,
+      partitioner_);
+}
 
-  void Seed(sparklet::SparkletContext& ctx, const CheckpointInfo* checkpoint,
-            const std::string& tag) override {
-    final_.reset();
-    a_ = ctx.ParallelizePartitioned(
-        "A" + tag, checkpoint != nullptr ? checkpoint->blocks : blocks_,
-        partitioner_);
-  }
-
-  void RunRounds(sparklet::SparkletContext& ctx, std::int64_t first,
-                 std::int64_t end, std::int64_t& /*rounds_done*/) override {
-    final_ = solver_.RunRounds(ctx, layout_, a_, partitioner_, opts_, first,
-                               end - first);
-  }
-
-  Result<linalg::DenseBlock> CollectDistances() override {
-    return layout_.Assemble(final_->Collect());
-  }
-
-  bool ReportsAssemblyPeak() const override { return false; }
-
- private:
-  const ApspSolver& solver_;
-  const BlockLayout& layout_;
-  const std::vector<BlockRecord>& blocks_;
-  const ApspOptions& opts_;
-  sparklet::PartitionerPtr<BlockKey> partitioner_;
-  sparklet::RddPtr<BlockRecord> a_;
-  sparklet::RddPtr<BlockRecord> final_;
-};
-
-}  // namespace
-
-const ApspSolver& SolverFor(SolverKind kind) {
-  static const RepeatedSquaringSolver repeated_squaring;
-  static const FloydWarshall2dSolver floyd_warshall_2d;
-  static const BlockedInMemorySolver blocked_inmemory;
-  static const BlockedCollectBroadcastSolver blocked_collect_broadcast;
-  switch (kind) {
-    case SolverKind::kRepeatedSquaring:
-      return repeated_squaring;
-    case SolverKind::kFloydWarshall2d:
-      return floyd_warshall_2d;
-    case SolverKind::kBlockedInMemory:
-      return blocked_inmemory;
-    case SolverKind::kBlockedCollectBroadcast:
-      return blocked_collect_broadcast;
-  }
-  throw std::invalid_argument("unknown solver kind");
+Result<linalg::DenseBlock> ApspWorkload::CollectDistances() {
+  return layout_.Assemble(final_->Collect());
 }
 
 int NumPartitions(const sparklet::SparkletContext& ctx,
@@ -87,8 +47,21 @@ int NumPartitions(const sparklet::SparkletContext& ctx,
 std::unique_ptr<Workload> MakeApspWorkload(
     SolverKind kind, sparklet::SparkletContext& ctx, const BlockLayout& layout,
     const std::vector<BlockRecord>& blocks, const ApspOptions& opts) {
-  return std::make_unique<ApspWorkload>(SolverFor(kind), ctx, layout, blocks,
-                                        opts);
+  switch (kind) {
+    case SolverKind::kRepeatedSquaring:
+      return std::make_unique<RepeatedSquaringSolver>(kind, ctx, layout,
+                                                      blocks, opts);
+    case SolverKind::kFloydWarshall2d:
+      return std::make_unique<FloydWarshall2dSolver>(kind, ctx, layout,
+                                                     blocks, opts);
+    case SolverKind::kBlockedInMemory:
+      return std::make_unique<BlockedInMemorySolver>(kind, ctx, layout,
+                                                     blocks, opts);
+    case SolverKind::kBlockedCollectBroadcast:
+      return std::make_unique<BlockedCollectBroadcastSolver>(
+          kind, ctx, layout, blocks, opts);
+  }
+  throw std::invalid_argument("unknown solver kind");
 }
 
 ApspRunResult RunSolve(sparklet::SparkletContext& ctx,
@@ -139,7 +112,7 @@ ApspRunResult RunSolve(sparklet::SparkletContext& ctx,
   int restarts = 0;
   for (;;) {
     try {
-      workload.RunRounds(ctx, start, end_round, result.rounds_executed);
+      workload.RunRounds(ctx, start, end_round);
       result.rounds_executed = rounds_to_run;
       // The assembly collect is excluded from the reported solve time and
       // metrics, like the paper's timings (both captured before the collect
@@ -182,6 +155,10 @@ ApspRunResult RunSolve(sparklet::SparkletContext& ctx,
   }
 
   if (!result.status.ok()) {
+    // A failure during assembly keeps the completed sweep's count; one
+    // mid-sweep reports the workload's own progress.
+    result.rounds_executed =
+        std::max(result.rounds_executed, workload.RoundsDone());
     result.sim_seconds = ctx.now_seconds();
     result.metrics = ctx.metrics();
   }

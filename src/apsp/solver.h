@@ -7,7 +7,8 @@
 // strategy: the round count, the input RDDs and how to reseed them on a
 // restart, the rounds body, and assembly.
 //
-// APSP plugs in the four paper solvers (§4) as ApspSolver round bodies:
+// APSP plugs in the four paper solvers (§4) as ApspWorkload subclasses,
+// each supplying its rounds body:
 //   RepeatedSquaringSolver        — Alg. 1 (impure: shared-FS column staging)
 //   FloydWarshall2dSolver         — Alg. 2 (pure)
 //   BlockedInMemorySolver         — Alg. 3 (pure)
@@ -60,25 +61,6 @@ class RoundSpanScope {
   bool active_;
 };
 
-/// One paper APSP algorithm: its round count and its rounds body. Stateless.
-class ApspSolver {
- public:
-  virtual ~ApspSolver() = default;
-
-  /// Rounds a full run takes for this layout.
-  virtual std::int64_t TotalRounds(const BlockLayout& layout) const = 0;
-
-  /// Runs rounds [first, first + rounds_to_run) starting from RDD `a` and
-  /// returns the final block RDD. Throws SparkletAbort on modelled failures.
-  virtual sparklet::RddPtr<BlockRecord> RunRounds(
-      sparklet::SparkletContext& ctx, const BlockLayout& layout,
-      sparklet::RddPtr<BlockRecord> a,
-      sparklet::PartitionerPtr<BlockKey> partitioner, const ApspOptions& opts,
-      std::int64_t first, std::int64_t rounds_to_run) const = 0;
-};
-
-const ApspSolver& SolverFor(SolverKind kind);
-
 /// What one workload contributes to RunSolve.
 class Workload {
  public:
@@ -95,11 +77,13 @@ class Workload {
                     const CheckpointInfo* checkpoint,
                     const std::string& tag) = 0;
 
-  /// Runs rounds [first, end). Workloads that track per-round progress
-  /// update `rounds_done` as rounds complete, so a failed run reports how
-  /// far it got. Throws SparkletAbort on modelled failures.
+  /// Runs rounds [first, end). Throws SparkletAbort on modelled failures.
   virtual void RunRounds(sparklet::SparkletContext& ctx, std::int64_t first,
-                         std::int64_t end, std::int64_t& rounds_done) = 0;
+                         std::int64_t end) = 0;
+
+  /// Rounds completed so far, for a run that fails mid-sweep to report how
+  /// far it got. Workloads that do not track per-round progress report 0.
+  virtual std::int64_t RoundsDone() const { return 0; }
 
   /// Collects the final state on the driver and assembles the distances.
   virtual Result<linalg::DenseBlock> CollectDistances() = 0;
@@ -110,11 +94,39 @@ class Workload {
   virtual bool ReportsAssemblyPeak() const = 0;
 };
 
+/// The APSP workload. The base seeds the block RDD A, holds the block
+/// partitioner and assembles the final blocks; each of the four paper
+/// solvers subclasses it with its rounds body, which sweeps from a_ and
+/// leaves the final block RDD in final_. `layout`, `blocks` and `opts` must
+/// outlive it (restarts reseed from `blocks`).
+class ApspWorkload : public Workload {
+ public:
+  ApspWorkload(SolverKind kind, sparklet::SparkletContext& ctx,
+               const BlockLayout& layout,
+               const std::vector<BlockRecord>& blocks,
+               const ApspOptions& opts);
+
+  std::int64_t TotalRounds() const override;
+  void Seed(sparklet::SparkletContext& ctx, const CheckpointInfo* checkpoint,
+            const std::string& tag) override;
+  Result<linalg::DenseBlock> CollectDistances() override;
+  bool ReportsAssemblyPeak() const override { return false; }
+
+ protected:
+  const SolverKind kind_;
+  const BlockLayout& layout_;
+  const std::vector<BlockRecord>& blocks_;
+  const ApspOptions& opts_;
+  const sparklet::PartitionerPtr<BlockKey> partitioner_;
+  sparklet::RddPtr<BlockRecord> a_;
+  sparklet::RddPtr<BlockRecord> final_;
+};
+
 /// Partitions a run's RDDs use: partitions_per_core per modelled core.
 int NumPartitions(const sparklet::SparkletContext& ctx,
                   const ApspOptions& opts);
 
-/// The APSP workload: `blocks` must outlive it (restarts reseed from them).
+/// The APSP workload running `kind`'s rounds body.
 std::unique_ptr<Workload> MakeApspWorkload(
     SolverKind kind, sparklet::SparkletContext& ctx, const BlockLayout& layout,
     const std::vector<BlockRecord>& blocks, const ApspOptions& opts);

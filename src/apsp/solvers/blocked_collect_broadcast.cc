@@ -14,16 +14,14 @@ using staging::ReadPhase3Factors;
 using staging::ReadStagedBlock;
 using staging::StagingKeys;
 
-RddPtr<BlockRecord> BlockedCollectBroadcastSolver::RunRounds(
-    sparklet::SparkletContext& ctx, const BlockLayout& layout,
-    RddPtr<BlockRecord> a, sparklet::PartitionerPtr<BlockKey> partitioner,
-    const ApspOptions& opts, std::int64_t first,
-    std::int64_t rounds_to_run) const {
-  RddPtr<BlockRecord> current = std::move(a);
+void BlockedCollectBroadcastSolver::RunRounds(
+    sparklet::SparkletContext& ctx, std::int64_t first, std::int64_t end) {
+  const BlockLayout& layout = layout_;
+  RddPtr<BlockRecord> current = a_;
   const bool directed = layout.directed();
   const StagingKeys keys("cb");
 
-  for (std::int64_t i = first; i < first + rounds_to_run; ++i) {
+  for (std::int64_t i = first; i < end; ++i) {
     RoundSpanScope round_span(ctx.cluster(), i);
     // --- Phase 1 (Alg. 4 lines 2-3): close the diagonal block, bring it to
     // the driver, and redistribute via shared persistent storage.
@@ -111,7 +109,7 @@ RddPtr<BlockRecord> BlockedCollectBroadcastSolver::RunRounds(
     // Lines 11-12: rebuild A and repartition to the intended layout.
     auto prev = current;
     current = sparklet::PartitionBy(
-                  ctx.Union("cb-union", {diag, rowcol, offcol}), partitioner,
+                  ctx.Union("cb-union", {diag, rowcol, offcol}), partitioner_,
                   "cb-repartition")
                   ->Persist();
     current->EnsureMaterialized();
@@ -119,11 +117,11 @@ RddPtr<BlockRecord> BlockedCollectBroadcastSolver::RunRounds(
 
     // Optional durability extension (see apsp/checkpoint.h): stage A so a
     // restarted job resumes here instead of from scratch.
-    if (opts.checkpoint_every > 0 && (i + 1) % opts.checkpoint_every == 0) {
+    if (opts_.checkpoint_every > 0 && (i + 1) % opts_.checkpoint_every == 0) {
       SaveCheckpoint(ctx, layout, current->Collect(), i + 1);
     }
   }
-  return current;
+  final_ = current;
 }
 
 }  // namespace apspark::apsp

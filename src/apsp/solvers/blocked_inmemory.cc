@@ -8,14 +8,12 @@ namespace apspark::apsp {
 using sparklet::RddPtr;
 using sparklet::TaskContext;
 
-RddPtr<BlockRecord> BlockedInMemorySolver::RunRounds(
-    sparklet::SparkletContext& ctx, const BlockLayout& layout,
-    RddPtr<BlockRecord> a, sparklet::PartitionerPtr<BlockKey> partitioner,
-    const ApspOptions& /*opts*/, std::int64_t first,
-    std::int64_t rounds_to_run) const {
-  RddPtr<BlockRecord> current = std::move(a);
+void BlockedInMemorySolver::RunRounds(sparklet::SparkletContext& ctx,
+                                     std::int64_t first, std::int64_t end) {
+  const BlockLayout& layout = layout_;
+  RddPtr<BlockRecord> current = a_;
 
-  for (std::int64_t i = first; i < first + rounds_to_run; ++i) {
+  for (std::int64_t i = first; i < end; ++i) {
     RoundSpanScope round_span(ctx.cluster(), i);
     // --- Phase 1 (Alg. 3 lines 2-4): close the diagonal block and scatter
     // copies of it to the column/row cross via a custom-partitioned shuffle.
@@ -34,7 +32,8 @@ RddPtr<BlockRecord> BlockedInMemorySolver::RunRounds(
                      std::vector<TaggedRecord>& out) {
           CopyDiag(layout, i, rec.second, out);
         });
-    auto d0 = sparklet::PartitionBy(diag_copies, partitioner, "im-copydiag-by");
+    auto d0 =
+        sparklet::PartitionBy(diag_copies, partitioner_, "im-copydiag-by");
 
     // --- Phase 2 (lines 6-10): pair cross blocks with the diagonal copy,
     // update them, then scatter the CopyCol replicas for Phase 3.
@@ -45,7 +44,7 @@ RddPtr<BlockRecord> BlockedInMemorySolver::RunRounds(
                         }),
         "im-rowcol-tag");
     auto paired = GatherLists(
-        ctx.Union("im-phase2-union", {d0, rowcol}), partitioner,
+        ctx.Union("im-phase2-union", {d0, rowcol}), partitioner_,
         "im-phase2-combine");
     // Partition-at-a-time unpack: the fused per-block updates fan out on the
     // host thread pool (modelled task time is charged identically).
@@ -60,7 +59,7 @@ RddPtr<BlockRecord> BlockedInMemorySolver::RunRounds(
                      std::vector<TaggedRecord>& out) {
           CopyCol(layout, i, rec, out, tc);
         });
-    auto d = sparklet::PartitionBy(cross_copies, partitioner, "im-copycol-by");
+    auto d = sparklet::PartitionBy(cross_copies, partitioner_, "im-copycol-by");
 
     // --- Phase 3 (lines 12-15): update all remaining blocks and rebuild A.
     auto rest = TagOriginals(
@@ -70,7 +69,7 @@ RddPtr<BlockRecord> BlockedInMemorySolver::RunRounds(
                         }),
         "im-offcol-tag");
     auto phase3 = GatherLists(ctx.Union("im-phase3-union", {rest, d}),
-                              partitioner, "im-phase3-combine");
+                              partitioner_, "im-phase3-combine");
     auto updated = phase3->MapPartitions<BlockRecord>(
         "im-phase3-unpack",
         [&layout, i](std::vector<ListRecord>&& part, TaskContext& tc) {
@@ -81,12 +80,12 @@ RddPtr<BlockRecord> BlockedInMemorySolver::RunRounds(
     // always shuffles — the cost the paper attributes the storage blow-up
     // to (§5.2).
     auto prev = current;
-    current = sparklet::PartitionBy(updated, partitioner, "im-repartition")
+    current = sparklet::PartitionBy(updated, partitioner_, "im-repartition")
                   ->Persist();
     current->EnsureMaterialized();
     prev->Unpersist();
   }
-  return current;
+  final_ = current;
 }
 
 }  // namespace apspark::apsp

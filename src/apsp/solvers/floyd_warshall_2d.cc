@@ -10,16 +10,13 @@ using linalg::BlockRef;
 using sparklet::RddPtr;
 using sparklet::TaskContext;
 
-RddPtr<BlockRecord> FloydWarshall2dSolver::RunRounds(
-    sparklet::SparkletContext& ctx, const BlockLayout& layout,
-    RddPtr<BlockRecord> a, sparklet::PartitionerPtr<BlockKey> partitioner,
-    const ApspOptions& /*opts*/, std::int64_t first,
-    std::int64_t rounds_to_run) const {
-  (void)partitioner;
-  RddPtr<BlockRecord> current = std::move(a);
+void FloydWarshall2dSolver::RunRounds(sparklet::SparkletContext& ctx,
+                                     std::int64_t first, std::int64_t end) {
+  const BlockLayout& layout = layout_;
+  RddPtr<BlockRecord> current = a_;
   const auto q = static_cast<std::size_t>(layout.q());
 
-  for (std::int64_t k = first; k < first + rounds_to_run; ++k) {
+  for (std::int64_t k = first; k < end; ++k) {
     RoundSpanScope round_span(ctx.cluster(), k);
     const std::int64_t big_k = k / layout.block_size();
 
@@ -83,7 +80,7 @@ RddPtr<BlockRecord> FloydWarshall2dSolver::RunRounds(
             ->Persist();
     current->EnsureMaterialized();
   }
-  return current;
+  final_ = current;
 }
 
 }  // namespace apspark::apsp

@@ -15,17 +15,12 @@
 
 namespace apspark::apsp {
 
-class FloydWarshall2dSolver final : public ApspSolver {
+class FloydWarshall2dSolver final : public ApspWorkload {
  public:
-  std::int64_t TotalRounds(const BlockLayout& layout) const override {
-    return layout.n();
-  }
+  using ApspWorkload::ApspWorkload;
 
-  sparklet::RddPtr<BlockRecord> RunRounds(
-      sparklet::SparkletContext& ctx, const BlockLayout& layout,
-      sparklet::RddPtr<BlockRecord> a,
-      sparklet::PartitionerPtr<BlockKey> partitioner, const ApspOptions& opts,
-      std::int64_t first, std::int64_t rounds_to_run) const override;
+  void RunRounds(sparklet::SparkletContext& ctx, std::int64_t first,
+                 std::int64_t end) override;
 };
 
 }  // namespace apspark::apsp

@@ -483,7 +483,7 @@ class KsourceWorkload final : public Workload {
   }
 
   void RunRounds(sparklet::SparkletContext& ctx, std::int64_t first,
-                 std::int64_t end, std::int64_t& rounds_done) override {
+                 std::int64_t end) override {
     for (std::int64_t t = first; t < end; ++t) {
       RoundSpanScope round_span(ctx.cluster(), t);
       const bool skip = opts_.early_exit_infinite &&
@@ -494,7 +494,7 @@ class KsourceWorkload final : public Workload {
       } else {
         RunStagedPivot(ctx, layout_, t, keys_, block_part_, a_, f_, skip);
       }
-      rounds_done = t + 1;
+      rounds_done_ = t + 1;
       if (opts_.checkpoint_every > 0 && (t + 1) % opts_.checkpoint_every == 0) {
         SaveCheckpoint(ctx, layout_, a_->Collect(), t + 1, f_->Collect());
       }
@@ -514,6 +514,8 @@ class KsourceWorkload final : public Workload {
     return out;
   }
 
+  std::int64_t RoundsDone() const override { return rounds_done_; }
+
   bool ReportsAssemblyPeak() const override { return true; }
 
  private:
@@ -526,6 +528,7 @@ class KsourceWorkload final : public Workload {
   sparklet::PartitionerPtr<std::int64_t> panel_part_;
   RddPtr<BlockRecord> a_;
   RddPtr<PanelRecord> f_;
+  std::int64_t rounds_done_ = 0;
 };
 
 }  // namespace

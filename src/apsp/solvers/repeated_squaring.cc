@@ -39,20 +39,14 @@ BlockRef FetchSegment(std::unordered_map<std::int64_t, BlockRef>& cache,
 
 }  // namespace
 
-std::int64_t RepeatedSquaringSolver::TotalRounds(
-    const BlockLayout& layout) const {
-  return static_cast<std::int64_t>(CeilLog2(layout.n())) * layout.q();
-}
-
-RddPtr<BlockRecord> RepeatedSquaringSolver::RunRounds(
-    sparklet::SparkletContext& ctx, const BlockLayout& layout,
-    RddPtr<BlockRecord> a, sparklet::PartitionerPtr<BlockKey> partitioner,
-    const ApspOptions& opts, std::int64_t first,
-    std::int64_t rounds_to_run) const {
+void RepeatedSquaringSolver::RunRounds(sparklet::SparkletContext& ctx,
+                                      std::int64_t first, std::int64_t end) {
+  const BlockLayout& layout = layout_;
   const std::int64_t q = layout.q();
   const int squarings = CeilLog2(layout.n());
+  const std::int64_t rounds_to_run = end - first;
   std::int64_t executed = 0;
-  RddPtr<BlockRecord> current = std::move(a);
+  RddPtr<BlockRecord> current = a_;
 
   // Resume snaps to squaring boundaries: a round is one column sweep, but
   // the matrix is only consistent between squarings, which is where the
@@ -150,7 +144,7 @@ RddPtr<BlockRecord> RepeatedSquaringSolver::RunRounds(
             return out;
           });
       auto tj = sparklet::ReduceByKey(
-          partial, partitioner, "rs-matmin",
+          partial, partitioner_, "rs-matmin",
           [](const BlockRef& x, const BlockRef& y, TaskContext& tc) {
             return MatMin(x, y, tc);
           });
@@ -173,12 +167,12 @@ RddPtr<BlockRecord> RepeatedSquaringSolver::RunRounds(
     // is written when this squaring crossed a multiple of it.
     const std::int64_t completed =
         static_cast<std::int64_t>(squaring + 1) * q;
-    if (opts.checkpoint_every > 0 && squaring + 1 < squarings &&
-        completed % opts.checkpoint_every < q) {
+    if (opts_.checkpoint_every > 0 && squaring + 1 < squarings &&
+        completed % opts_.checkpoint_every < q) {
       SaveCheckpoint(ctx, layout, current->Collect(), completed);
     }
   }
-  return current;
+  final_ = current;
 }
 
 }  // namespace apspark::apsp

@@ -20,15 +20,12 @@
 
 namespace apspark::apsp {
 
-class RepeatedSquaringSolver final : public ApspSolver {
+class RepeatedSquaringSolver final : public ApspWorkload {
  public:
-  std::int64_t TotalRounds(const BlockLayout& layout) const override;
+  using ApspWorkload::ApspWorkload;
 
-  sparklet::RddPtr<BlockRecord> RunRounds(
-      sparklet::SparkletContext& ctx, const BlockLayout& layout,
-      sparklet::RddPtr<BlockRecord> a,
-      sparklet::PartitionerPtr<BlockKey> partitioner, const ApspOptions& opts,
-      std::int64_t first, std::int64_t rounds_to_run) const override;
+  void RunRounds(sparklet::SparkletContext& ctx, std::int64_t first,
+                 std::int64_t end) override;
 };
 
 }  // namespace apspark::apsp

@@ -139,6 +139,36 @@ TEST(SolverConsistency, PhantomRunChargesSameTimeAsRealRun) {
   }
 }
 
+TEST(SolverConsistency, ModelRunHonoursDirectedOption) {
+  // options.directed selects the full q x q layout for a model run: it
+  // charges what a real solve of a directed graph of the same shape does,
+  // and not what the upper-triangular undirected layout charges.
+  const std::int64_t n = 64;
+  const graph::Graph g = graph::ErdosRenyi(n, 0.2, {1.0, 10.0}, 17,
+                                           /*directed=*/true);
+  for (SolverKind kind : apsp::AllSolverKinds()) {
+    ApspOptions opts;
+    opts.block_size = 16;
+    opts.max_rounds = 2;
+    auto real = apsp::Solve(g, test::ApspRequest(kind, opts)).run;
+    auto undirected = apsp::SolveModel(n, test::ApspRequest(kind, opts)).run;
+    opts.directed = true;
+    auto directed = apsp::SolveModel(n, test::ApspRequest(kind, opts)).run;
+    ASSERT_TRUE(real.status.ok()) << SolverKindName(kind);
+    ASSERT_TRUE(undirected.status.ok()) << SolverKindName(kind);
+    ASSERT_TRUE(directed.status.ok()) << SolverKindName(kind);
+    EXPECT_NEAR(directed.sim_seconds, real.sim_seconds,
+                real.sim_seconds * 1e-9 + 1e-12)
+        << SolverKindName(kind);
+    EXPECT_EQ(directed.metrics.shuffle_bytes, real.metrics.shuffle_bytes)
+        << SolverKindName(kind);
+    EXPECT_EQ(directed.metrics.tasks, real.metrics.tasks)
+        << SolverKindName(kind);
+    EXPECT_GT(directed.sim_seconds, undirected.sim_seconds)
+        << SolverKindName(kind);
+  }
+}
+
 TEST(SolverConsistency, ProjectionApproximatesFullRun) {
   // For the uniform-round solvers, projecting from a prefix of rounds must
   // land near the full-run simulated time.
