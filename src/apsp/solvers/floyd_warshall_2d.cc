@@ -68,6 +68,7 @@ void FloydWarshall2dSolver::RunRounds(sparklet::SparkletContext& ctx,
     // partition-at-a-time so one task's independent outer-sum updates are
     // charged through the intra-task schedule and fanned out as stealable
     // tasks on the host pool.
+    auto prev = current;
     current =
         current
             ->MapPartitions<BlockRecord>(
@@ -79,6 +80,10 @@ void FloydWarshall2dSolver::RunRounds(sparklet::SparkletContext& ctx,
                 })
             ->Persist();
     current->EnsureMaterialized();
+    // Round k-1 is finished: release it, so one round is cached at a time.
+    // A lost partition replays it through lineage and releases it again.
+    // The seed stays cached: it is the stable input a restart reseeds.
+    if (prev != a_) prev->Unpersist();
   }
   final_ = current;
 }

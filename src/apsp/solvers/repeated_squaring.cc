@@ -47,6 +47,8 @@ void RepeatedSquaringSolver::RunRounds(sparklet::SparkletContext& ctx,
   const std::int64_t rounds_to_run = end - first;
   std::int64_t executed = 0;
   RddPtr<BlockRecord> current = a_;
+  // The previous squaring's column products: the cached inputs of `current`.
+  std::vector<RddPtr<BlockRecord>> prev_products;
 
   // Resume snaps to squaring boundaries: a round is one column sweep, but
   // the matrix is only consistent between squarings, which is where the
@@ -156,9 +158,15 @@ void RepeatedSquaringSolver::RunRounds(sparklet::SparkletContext& ctx,
     if (!complete) break;  // projection run: stop mid-squaring
     // Line 6: A = sc.union(T) — faithfully *without* repartitioning, so the
     // partition count grows, as discussed in §5.2 / §6.1.
-    current = ctx.Union("rs-union", std::move(products));
+    auto prev = current;
+    current = ctx.Union("rs-union", products);
     current->Persist();
     current->EnsureMaterialized();
+    // The previous squaring is finished: release its union and the column
+    // products it unions (never the seed, which a restart reseeds).
+    if (prev != a_) prev->Unpersist();
+    for (const auto& product : prev_products) product->Unpersist();
+    prev_products = std::move(products);
     // Durability extension: the matrix is consistent here (a completed
     // squaring), so this is where Repeated Squaring can checkpoint — the
     // shared-FS column staging makes it impure, and an executor loss sends

@@ -66,7 +66,15 @@ class RddBase {
   virtual const std::string& name() const noexcept = 0;
   virtual int id() const noexcept = 0;
   virtual int num_partitions() const noexcept = 0;
-  virtual void EnsureMaterialized() = 0;
+  virtual void Unpersist() = 0;
+  /// Engine-internal: readies this RDD for a descendant's stage. `want`
+  /// (null = every partition) narrows what a released RDD recomputes to the
+  /// partitions the descendant reads; `recovery` says a lost partition
+  /// drives the descendant, so the replay counts as recovery. A released
+  /// RDD this call re-caches is appended to `recached`, for the caller to
+  /// release once its own stage has read it.
+  virtual void Materialize(const std::vector<bool>* want, bool recovery,
+                           std::vector<std::shared_ptr<RddBase>>& recached) = 0;
   virtual bool IsBoundary() const noexcept = 0;
   virtual std::size_t MaterializedRecordCount() const noexcept = 0;
   /// Executor loss: drops every cached partition hosted on `node` (marking
@@ -123,7 +131,10 @@ class Rdd final : public RddBase, public std::enable_shared_from_this<Rdd<T>> {
 
   /// Runs the stage(s) needed to cache this RDD's partitions (no-op unless
   /// the RDD is a caching boundary: parallelized, shuffled, or persisted).
-  void EnsureMaterialized() override;
+  /// On a released RDD this is an explicit request: it is cached again.
+  void EnsureMaterialized();
+  void Materialize(const std::vector<bool>* want, bool recovery,
+                   std::vector<std::shared_ptr<RddBase>>& recached) override;
 
   // -- transformations (lazy) -------------------------------------------
   /// fn: (const T&, TaskContext&) -> U.
@@ -150,8 +161,12 @@ class Rdd final : public RddBase, public std::enable_shared_from_this<Rdd<T>> {
   /// downstream stages read them instead of recomputing the lineage.
   RddPtr<T> Persist();
 
-  /// Drops cached data (lineage remains; a later access recomputes).
-  void Unpersist();
+  /// Drops cached data and releases the RDD (lineage remains; a later access
+  /// recomputes). Spark's rule holds: a released RDD recomputes but does not
+  /// re-cache. A descendant that needs it (recovering a lost partition, or
+  /// an action) re-caches only the partitions it reads, for as long as its
+  /// own stage runs. Persist() makes it a cache again.
+  void Unpersist() override;
 
   /// Simulates loss of one cached partition (executor failure). The next
   /// access recomputes this RDD from its lineage, attributed to recovery.
@@ -185,7 +200,9 @@ class Rdd final : public RddBase, public std::enable_shared_from_this<Rdd<T>> {
   void SetComputeForShuffle(ComputeFn compute) { compute_ = std::move(compute); }
 
  private:
-  void RunStageAndCache();
+  /// Computes and caches the missing partitions (only those in `want`, if
+  /// given). `replay` marks every computed partition as recovery work.
+  void RunStageAndCache(const std::vector<bool>* want, bool replay);
   Partition RunTaskWithRetries(int partition, TaskContext& tc);
   /// Memory accounting of the partition cache: a stored partition's
   /// serialized bytes are live on its node until dropped.
@@ -202,6 +219,12 @@ class Rdd final : public RddBase, public std::enable_shared_from_this<Rdd<T>> {
   std::vector<std::shared_ptr<RddBase>> boundary_deps_;
   bool cache_;
   bool materialized_ = false;
+  /// Unpersisted: cached partitions are only transient (see Unpersist).
+  bool released_ = false;
+  /// Partition p reads only partition p of each boundary dependency (a
+  /// chain of Map/Filter/FlatMap/MapPartitions), so a recomputation of some
+  /// partitions needs only the same partitions of its dependencies.
+  bool narrow_ = false;
   std::vector<std::optional<Partition>> store_;
   /// Bytes charged to the accountant per cached partition (0 = uncharged).
   std::vector<std::uint64_t> store_bytes_;
@@ -511,7 +534,10 @@ typename Rdd<T>::Partition Rdd<T>::RunTaskWithRetries(int partition,
 }
 
 template <typename T>
-void Rdd<T>::RunStageAndCache() {
+void Rdd<T>::RunStageAndCache(const std::vector<bool>* want, bool replay) {
+  const auto wanted = [want](std::size_t p) {
+    return want == nullptr || (*want)[p];
+  };
   TaskContext tc = ctx_->MakeTaskContext();
   tc.SetStageConcurrency(
       std::min(num_partitions_, ctx_->config().concurrent_task_slots()));
@@ -523,11 +549,13 @@ void Rdd<T>::RunStageAndCache() {
     costs.reserve(static_cast<std::size_t>(num_partitions_));
     std::uint64_t recomputed = 0;
     for (int p = 0; p < num_partitions_; ++p) {
-      if (store_[static_cast<std::size_t>(p)]) {
+      if (store_[static_cast<std::size_t>(p)] ||
+          !wanted(static_cast<std::size_t>(p))) {
         costs.push_back(0.0);  // partition survived (or predates the loss)
         continue;
       }
-      const bool was_lost = lost_by_failure_[static_cast<std::size_t>(p)];
+      const bool was_lost =
+          replay || lost_by_failure_[static_cast<std::size_t>(p)];
       tc.ResetForTask();
       store_[static_cast<std::size_t>(p)] = RunTaskWithRetries(p, tc);
       if (was_lost && tc.shared_read_bytes() > 0) {
@@ -560,8 +588,8 @@ void Rdd<T>::RunStageAndCache() {
                                             : StageKind::kNormal);
     ctx_->cluster().mutable_metrics().recomputed_tasks += recomputed;
     bool complete = true;
-    for (const auto& slot : store_) {
-      if (!slot) {
+    for (std::size_t p = 0; p < store_.size(); ++p) {
+      if (!store_[p] && wanted(p)) {
         complete = false;
         break;
       }
@@ -578,26 +606,58 @@ void Rdd<T>::RunStageAndCache() {
 
 template <typename T>
 void Rdd<T>::EnsureMaterialized() {
-  if (materialized_ || !cache_) {
-    if (!cache_) {
-      // Not a boundary: materialize our own boundaries so fused compute
-      // can run (useful when called directly on a narrow RDD).
-      for (const auto& dep : boundary_deps_) dep->EnsureMaterialized();
+  released_ = false;
+  std::vector<std::shared_ptr<RddBase>> recached;
+  Materialize(nullptr, /*recovery=*/false, recached);
+  // Only a narrow RDD's walk leaves re-cached dependencies behind, and it
+  // runs no stage that reads them.
+  for (const auto& rdd : recached) rdd->Unpersist();
+}
+
+template <typename T>
+void Rdd<T>::Materialize(const std::vector<bool>* want, bool recovery,
+                         std::vector<std::shared_ptr<RddBase>>& recached) {
+  if (!cache_) {
+    // Not a boundary: ready our own boundaries so fused compute can run.
+    for (const auto& dep : boundary_deps_) {
+      dep->Materialize(narrow_ ? want : nullptr, recovery, recached);
     }
     return;
   }
-  for (const auto& dep : boundary_deps_) dep->EnsureMaterialized();
-  RunStageAndCache();
-  materialized_ = true;
+  if (materialized_) return;
+  // A cache completes its whole store; a released RDD computes only what
+  // its descendant reads.
+  if (!released_) want = nullptr;
+  std::vector<bool> missing(static_cast<std::size_t>(num_partitions_));
+  bool any_missing = false;
+  for (std::size_t p = 0; p < missing.size(); ++p) {
+    missing[p] = !store_[p] && (want == nullptr || (*want)[p]);
+    any_missing = any_missing || missing[p];
+    recovery = recovery || (missing[p] && lost_by_failure_[p]);
+  }
+  if (any_missing) {
+    std::vector<std::shared_ptr<RddBase>> deps_recached;
+    for (const auto& dep : boundary_deps_) {
+      dep->Materialize(narrow_ ? &missing : nullptr, recovery, deps_recached);
+    }
+    RunStageAndCache(want, released_ && recovery);
+    for (const auto& dep : deps_recached) dep->Unpersist();
+  }
+  if (!released_) {
+    materialized_ = true;
+  } else if (any_missing) {
+    recached.push_back(this->shared_from_this());
+  }
 }
 
 template <typename T>
 typename Rdd<T>::Partition Rdd<T>::ComputeOrRead(int partition,
                                                  TaskContext& tc) {
-  if (cache_) {
-    EnsureMaterialized();
-    return *store_[static_cast<std::size_t>(partition)];
-  }
+  const auto p = static_cast<std::size_t>(partition);
+  if (cache_ && !released_) EnsureMaterialized();
+  // A released RDD serves a transient copy if it holds one, else recomputes
+  // (fused into the reading task) without re-caching.
+  if (cache_ && store_[p]) return *store_[p];
   return RunTaskWithRetries(partition, tc);
 }
 
@@ -624,6 +684,7 @@ auto Rdd<T>::Map(std::string op_name, F fn)
   rdd->boundary_deps_ = self->cache_
                             ? std::vector<std::shared_ptr<RddBase>>{self}
                             : inherited;
+  rdd->narrow_ = self->cache_ || self->narrow_;
   return rdd;
 }
 
@@ -645,6 +706,7 @@ RddPtr<T> Rdd<T>::Filter(std::string op_name, Pred pred) {
   rdd->boundary_deps_ = self->cache_
                             ? std::vector<std::shared_ptr<RddBase>>{self}
                             : self->boundary_deps_;
+  rdd->narrow_ = self->cache_ || self->narrow_;
   return rdd;
 }
 
@@ -665,6 +727,7 @@ RddPtr<U> Rdd<T>::FlatMap(std::string op_name, F fn) {
   rdd->boundary_deps_ = self->cache_
                             ? std::vector<std::shared_ptr<RddBase>>{self}
                             : self->boundary_deps_;
+  rdd->narrow_ = self->cache_ || self->narrow_;
   return rdd;
 }
 
@@ -682,12 +745,14 @@ RddPtr<U> Rdd<T>::MapPartitions(std::string op_name, F fn) {
   rdd->boundary_deps_ = self->cache_
                             ? std::vector<std::shared_ptr<RddBase>>{self}
                             : self->boundary_deps_;
+  rdd->narrow_ = self->cache_ || self->narrow_;
   return rdd;
 }
 
 template <typename T>
 RddPtr<T> Rdd<T>::Persist() {
   cache_ = true;
+  released_ = false;
   if (store_.empty() && num_partitions_ > 0) {
     store_.resize(static_cast<std::size_t>(num_partitions_));
     store_bytes_.resize(static_cast<std::size_t>(num_partitions_), 0);
@@ -702,6 +767,7 @@ void Rdd<T>::Unpersist() {
   ReleaseAllCached();
   for (auto& p : store_) p.reset();
   materialized_ = false;
+  released_ = cache_;
 }
 
 template <typename T>
@@ -759,8 +825,10 @@ std::uint64_t Rdd<T>::MigratePartitions(
 
 template <typename T>
 typename Rdd<T>::Partition Rdd<T>::Collect() {
-  for (const auto& dep : boundary_deps_) dep->EnsureMaterialized();
-  if (cache_) EnsureMaterialized();
+  // Materialize, not the boundary deps: a cached RDD is read from its
+  // store, never by replaying its lineage.
+  std::vector<std::shared_ptr<RddBase>> recached;
+  Materialize(nullptr, /*recovery=*/false, recached);
 
   Partition all;
   std::vector<double> costs;
@@ -779,6 +847,7 @@ typename Rdd<T>::Partition Rdd<T>::Collect() {
     }
   }
   ctx_->cluster().RunStage(costs, name_ + "-collect");
+  for (const auto& rdd : recached) rdd->Unpersist();
   ctx_->cluster().ChargeCollect(bytes, num_partitions_);
   // Driver deserializes the whole result single-threaded (pySpark pickle).
   const double deser =
@@ -789,8 +858,10 @@ typename Rdd<T>::Partition Rdd<T>::Collect() {
 
 template <typename T>
 std::int64_t Rdd<T>::Count() {
-  for (const auto& dep : boundary_deps_) dep->EnsureMaterialized();
-  if (cache_) EnsureMaterialized();
+  // Materialize, not the boundary deps: a cached RDD is read from its
+  // store, never by replaying its lineage.
+  std::vector<std::shared_ptr<RddBase>> recached;
+  Materialize(nullptr, /*recovery=*/false, recached);
   std::int64_t count = 0;
   std::vector<double> costs;
   TaskContext tc = ctx_->MakeTaskContext();
@@ -800,6 +871,7 @@ std::int64_t Rdd<T>::Count() {
     costs.push_back(tc.task_seconds());
   }
   ctx_->cluster().RunStage(costs, name_ + "-count");
+  for (const auto& rdd : recached) rdd->Unpersist();
   ctx_->cluster().ChargeCollect(8ULL * static_cast<std::uint64_t>(
                                            num_partitions_),
                                 num_partitions_);

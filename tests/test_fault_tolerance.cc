@@ -154,6 +154,56 @@ TEST(NodeLoss, DropsCachedPartitionsAndRecomputesThroughLineage) {
   }
 }
 
+TEST(NodeLoss, ReleasedParentReplaysOnlyLostPartitionsAsRecovery) {
+  // A lost partition of a cached RDD whose parent was released replays the
+  // parent through lineage: only the partitions the loss needs, counted as
+  // recovery, and the parent is released again once the child is cached
+  // (Spark's rule: an unpersisted RDD recomputes but does not re-cache).
+  SparkletContext ctx(TestCluster());
+  int parent_tasks = 0;
+  auto parent = ctx.Parallelize("data", Iota(40), 4)
+                    ->Map("parent",
+                          [&parent_tasks](const std::int64_t& x,
+                                          sparklet::TaskContext&) {
+                            if (x % 10 == 0) ++parent_tasks;  // once a task
+                            return x + 1;
+                          })
+                    ->Persist();
+  auto child = parent
+                   ->Map("child",
+                         [](const std::int64_t& x, sparklet::TaskContext&) {
+                           return 2 * x;
+                         })
+                   ->Persist();
+  child->EnsureMaterialized();
+  parent->Unpersist();
+  const std::uint64_t live_before =
+      ctx.cluster().accountant().node_live_bytes(0) +
+      ctx.cluster().accountant().node_live_bytes(1);
+  parent_tasks = 0;
+
+  ctx.fault_injector().FailNode(1, ctx.metrics().stages);
+  ctx.cluster().RunStage({0.0}, "tick");  // boundary: node 1 is lost
+  const std::uint64_t recomputed = ctx.metrics().recomputed_tasks;
+  const double recovery = ctx.metrics().recovery_seconds;
+  child->EnsureMaterialized();
+
+  std::vector<std::int64_t> expected;
+  for (std::int64_t x = 0; x < 40; ++x) expected.push_back(2 * (x + 1));
+  EXPECT_EQ(child->Collect(), expected);
+  // Partitions 1 and 3 lived on node 1: the cached seed, the released
+  // parent and the child each rebuild just those two, all as recovery.
+  EXPECT_EQ(parent_tasks, 2);
+  EXPECT_EQ(ctx.metrics().recomputed_tasks - recomputed, 6u);
+  EXPECT_GT(ctx.metrics().recovery_seconds, recovery);
+  EXPECT_FALSE(parent->materialized());
+  EXPECT_EQ(parent->MaterializedRecordCount(), 0u);
+  // Only the child is cached again, on the survivor.
+  EXPECT_EQ(ctx.cluster().accountant().node_live_bytes(0) +
+                ctx.cluster().accountant().node_live_bytes(1),
+            live_before);
+}
+
 TEST(NodeLoss, LostMapOutputsReplayBeforeReduceRecompute) {
   SparkletContext ctx(TestCluster());
   std::vector<IntPair> data;
@@ -521,6 +571,43 @@ TEST(EndToEnd, LossAtStageZeroBeforeAnyCache) {
                      "loss at stage 0 vs clean");
   EXPECT_EQ(faulty.metrics.executor_failures, 1u);
   EXPECT_EQ(faulty.metrics.job_restarts, 0u);
+}
+
+TEST(EndToEnd, Fw2dLateLossReplaysReleasedRoundsAsRecovery) {
+  // 2D Floyd-Warshall caches only its latest round. A loss late in the
+  // sweep rebuilds the lost partitions of that round through the released
+  // rounds before it, back to the cached seed: every replay stage counts as
+  // recovery and releases its round again, so the faulty run's memory stays
+  // near the clean run's.
+  const Graph g = graph::PaperErdosRenyi(64, 3);
+  Graph gi(g.num_vertices(), g.directed());
+  for (const auto& e : g.edges()) {
+    gi.AddEdge(e.u, e.v, std::floor(e.weight)).CheckOk();
+  }
+  const DenseBlock oracle = Oracle(gi);
+  // Two stages a round (collect column k, update): stage 101 ends round 50.
+  constexpr std::int64_t kLossStage = 101;
+  constexpr std::uint64_t kReplayedRounds = 50;
+  auto clean = RunApsp(SolverKind::kFloydWarshall2d, gi, 16, {}, 0, 4);
+  auto faulty = RunApsp(SolverKind::kFloydWarshall2d, gi, 16,
+                        {{1, kLossStage}}, 0, 4);
+  ASSERT_TRUE(faulty.result.status.ok()) << faulty.result.status.ToString();
+  ASSERT_TRUE(faulty.result.distances.has_value());
+  ExpectBitwiseEqual(*faulty.result.distances, oracle, "late loss vs oracle");
+  ExpectBitwiseEqual(*faulty.result.distances, *clean.result.distances,
+                     "late loss vs clean run");
+  EXPECT_EQ(faulty.metrics.executor_failures, 1u);
+  EXPECT_EQ(faulty.metrics.job_restarts, 0u);
+  // Recovery covers the replay: the seed, the 50 released rounds and the
+  // lost round each rebuild node 1's partitions (4 of 16: two per core on
+  // 4 nodes x 2 cores), each in a recovery stage of its own.
+  EXPECT_EQ(faulty.metrics.recomputed_tasks, 4 * (kReplayedRounds + 2));
+  EXPECT_GE(faulty.metrics.recovery_seconds,
+            static_cast<double>(kReplayedRounds + 2) *
+                TestCluster().stage_overhead_seconds);
+  // Replayed rounds do not stay cached.
+  EXPECT_LE(faulty.metrics.node_peak_bytes,
+            3 * clean.metrics.node_peak_bytes);
 }
 
 TEST(EndToEnd, ImpureSolversRestartFromCheckpointBitwise) {

@@ -4,10 +4,15 @@
 // resource-failure behaviour.
 #include <gtest/gtest.h>
 
+#include <optional>
+#include <utility>
+#include <vector>
+
 #include "apsp/api.h"
 #include "common/rng.h"
 #include "graph/generators.h"
 #include "graph/shortest_paths.h"
+#include "sparklet/serde.h"
 #include "test_support.h"
 
 namespace apspark {
@@ -319,6 +324,89 @@ TEST(SolverStructured, KnownDistancesOnFamilies) {
     ASSERT_TRUE(rs.status.ok());
     EXPECT_EQ(rs.distances->At(3, 7), 3.0);
     EXPECT_EQ(rs.distances->At(0, 8), 1.5);
+  }
+}
+
+// --- memory lifecycle ---------------------------------------------------------
+//
+// Every solver's modelled memory is bounded by its data: each round caches
+// about one copy of the matrix and releases the previous round's, so the
+// node and driver high-water marks stay within a constant multiple of one
+// node's share of the matrix (plus, for KSSP, the frontier panel). The
+// constant is Blocked-IM's and Blocked-CB's widest ratio on these shapes
+// (IM's, 35.7 at n = 48, b = 16); the other solvers must fit under it. It
+// is not scale-free: the shuffling solvers keep every round's preserved
+// shuffle outputs reachable through the lineage, so their ratio grows with
+// q (steepest for IM and the KSSP shuffle plane).
+constexpr double kDataShareEnvelope = 36.0;
+// Repeated squaring's own ceiling (measured 30.7 at n = 96, b = 32): it
+// releases the previous squaring's union and column products, but the
+// preserved map outputs of every column product's reduceByKey stay charged
+// to the nodes through the lineage, and the staged rs/<squaring>/ columns
+// stay in shared storage (uncharged to nodes).
+constexpr double kRepeatedSquaringCeiling = 31.0;
+
+struct MemoryCase {
+  const char* label;
+  std::optional<SolverKind> solver;  // unset: KSSP
+  apsp::KsourceVariant variant;
+  double ceiling;
+};
+
+/// Serialized bytes of the stored matrix, plus the n x k frontier panel of a
+/// KSSP request.
+std::uint64_t DataBytes(std::int64_t n, const apsp::SolveRequest& request) {
+  const BlockLayout layout(n, request.options.block_size,
+                           request.options.directed);
+  std::uint64_t bytes = 0;
+  for (const auto& record : layout.DecomposePhantom()) {
+    bytes += sparklet::SerializedSizeOf(record);
+  }
+  if (request.sources.has_value()) {
+    bytes += static_cast<std::uint64_t>(n) * request.sources->size() *
+             sizeof(double);
+  }
+  return bytes;
+}
+
+TEST(SolverMemory, PeaksStayWithinAConstantOfTheDataShare) {
+  const std::vector<MemoryCase> cases = {
+      {"im", SolverKind::kBlockedInMemory, {}, kDataShareEnvelope},
+      {"cb", SolverKind::kBlockedCollectBroadcast, {}, kDataShareEnvelope},
+      {"fw2d", SolverKind::kFloydWarshall2d, {}, kDataShareEnvelope},
+      {"kssp-staged", std::nullopt, apsp::KsourceVariant::kStagedStorage,
+       kDataShareEnvelope},
+      {"kssp-shuffle", std::nullopt,
+       apsp::KsourceVariant::kShuffleReplicated, kDataShareEnvelope},
+      {"rs", SolverKind::kRepeatedSquaring, {}, kRepeatedSquaringCeiling},
+  };
+  for (const auto& c : cases) {
+    for (const auto& [n, b] : {std::pair<std::int64_t, std::int64_t>{48, 16},
+                              {64, 32},
+                              {96, 32}}) {
+      ApspOptions opts;
+      opts.block_size = b;
+      opts.variant = c.variant;
+      std::vector<graph::VertexId> sources;
+      for (graph::VertexId v = 0; v < n; v += 7) sources.push_back(v);
+      const apsp::SolveRequest request =
+          c.solver.has_value() ? test::ApspRequest(*c.solver, opts)
+                               : test::KsspRequest(sources, opts);
+      const double share = static_cast<double>(DataBytes(n, request)) /
+                           static_cast<double>(request.cluster.nodes);
+      const auto real = apsp::Solve(graph::PaperErdosRenyi(n, 5), request).run;
+      const auto model = apsp::SolveModel(n, request).run;
+      for (const auto& [kind, run] : {std::pair{"real", &real},
+                                      std::pair{"model", &model}}) {
+        SCOPED_TRACE(::testing::Message() << c.label << " " << kind
+                                          << " n=" << n << " b=" << b);
+        ASSERT_TRUE(run->status.ok()) << run->status.ToString();
+        EXPECT_LE(static_cast<double>(run->metrics.node_peak_bytes),
+                  c.ceiling * share);
+        EXPECT_LE(static_cast<double>(run->metrics.driver_peak_bytes),
+                  c.ceiling * share);
+      }
+    }
   }
 }
 

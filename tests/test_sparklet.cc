@@ -154,6 +154,34 @@ TEST(Rdd, UnpersistedChainRecomputesPersistedDoesNot) {
   EXPECT_EQ(calls, 4);  // materialized once
 }
 
+TEST(Rdd, ActionsOnACachedRddDoNotReplayReleasedParents) {
+  // A cached, materialized RDD is read from its store: an action on it adds
+  // its own stage only, and never re-materializes a parent released since.
+  auto ctx = MakeCtx();
+  auto a = ctx.Parallelize("data", Iota(12), 4)
+               ->Map("a", [](const std::int64_t& x, TaskContext&) {
+                 return x + 1;
+               })
+               ->Persist();
+  auto b = a->Map("b", [](const std::int64_t& x, TaskContext&) {
+              return 2 * x;
+            })->Persist();
+  b->EnsureMaterialized();
+  a->Unpersist();
+
+  std::uint64_t stages = ctx.metrics().stages;
+  const auto out = b->Collect();
+  EXPECT_EQ(ctx.metrics().stages, stages + 1);
+  stages = ctx.metrics().stages;
+  EXPECT_EQ(b->Count(), 12);
+  EXPECT_EQ(ctx.metrics().stages, stages + 1);
+  EXPECT_FALSE(a->materialized());
+  EXPECT_EQ(a->MaterializedRecordCount(), 0u);
+  std::vector<std::int64_t> expected;
+  for (std::int64_t x = 0; x < 12; ++x) expected.push_back(2 * (x + 1));
+  EXPECT_EQ(out, expected);
+}
+
 // --- shuffles ----------------------------------------------------------
 
 TEST(Shuffle, ReduceByKeyAggregates) {

@@ -11,6 +11,8 @@
 // Flags that do not apply to the chosen subcommand are rejected with a
 // pointer to that subcommand's --help. Errors from the library surface
 // uniformly as "apspark: <STATUS>: <message>".
+#include <sys/resource.h>
+
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
@@ -796,9 +798,17 @@ Result<apsp::SolveRequest> BuildSolveRequest(const Args& args,
   return request;
 }
 
+/// Peak resident set of this process so far, in MiB (ru_maxrss is KiB on
+/// Linux).
+double PeakRssMib() {
+  rusage usage{};
+  getrusage(RUSAGE_SELF, &usage);
+  return static_cast<double>(usage.ru_maxrss) / 1024.0;
+}
+
 int PrintSolveReport(const Args& args, const graph::Graph& g,
                      const apsp::SolveRequest& request,
-                     const apsp::SolveReport& report) {
+                     const apsp::SolveReport& report, double wall_seconds) {
   const auto& options = request.options;
   const bool kssp = request.sources.has_value();
   if (kssp) {
@@ -824,6 +834,9 @@ int PrintSolveReport(const Args& args, const graph::Graph& g,
               kssp ? "pivots" : "rounds",
               FormatDuration(report.run.sim_seconds).c_str());
   std::printf("engine: %s\n", report.metrics().Summary().c_str());
+  // The host's side of the same run: wall time of the solve call and the
+  // process's peak RSS, in fixed units so scripts can read them.
+  std::printf("host: wall=%.3fs rss=%.1fMiB\n", wall_seconds, PeakRssMib());
   if (kssp) PrintMemory(report.metrics());
   PrintRecovery(report.metrics());
   if (!EmitRunMetrics(args, report.metrics())) return 1;
@@ -871,7 +884,9 @@ int RunSolve(const Args& args) {
   }
   auto request = BuildSolveRequest(args, g);
   if (!request.ok()) return Fail(request.status());
-  return PrintSolveReport(args, g, *request, apsp::Solve(g, *request));
+  const WallTimer timer;
+  const apsp::SolveReport report = apsp::Solve(g, *request);
+  return PrintSolveReport(args, g, *request, report, timer.ElapsedSeconds());
 }
 
 int RunPlan(const Args& args) {
