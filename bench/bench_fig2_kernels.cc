@@ -8,8 +8,9 @@
 // L3 knee around b = 1810). The paper's shape to reproduce: ~b^3 growth,
 // fast below the cache knee, rapidly growing past it.
 //
-// Section 2 races the kernel variants (naive scalar loops vs tiled+fused vs
-// tiled+parallel) on the MinPlus and FloydWarshall building blocks, checks
+// Section 2 races the naive scalar reference loops against the tiled+fused
+// kernels, inline ("tiled") and on a host thread pool ("tiled_parallel"), on
+// the MinPlus and FloydWarshall building blocks, checks
 // the min-plus results are bitwise-identical to the scalar reference, and
 // writes machine-readable results to BENCH_kernels.json (path overridable
 // via APSPARK_BENCH_JSON) so every future PR is measured against this one.
@@ -60,11 +61,11 @@ bool BitwiseEqual(const linalg::DenseBlock& a, const linalg::DenseBlock& b) {
 
 struct KernelResult {
   std::string kernel;   // "minplus" or "floyd_warshall"
-  std::string variant;  // registry variant name
+  std::string variant;  // naive | tiled | tiled_parallel (or a mode/ISA)
   std::int64_t b = 0;
   double seconds = 0;
   double gops = 0;          // b^3 / seconds / 1e9
-  double speedup = 1.0;     // vs the naive variant at the same b
+  double speedup = 1.0;     // vs the naive reference at the same b
   bool bitwise_equal = true;  // vs the scalar reference result
 };
 
@@ -106,20 +107,32 @@ void WriteJson(const std::vector<KernelResult>& results,
   std::printf("\nresults written to %s\n", path.c_str());
 }
 
+/// Kernel config of a race: scalar ISA, inline or on `pool`.
+linalg::KernelTuning ScalarKernel(ThreadPool* pool = nullptr) {
+  linalg::KernelTuning kernel;
+  kernel.isa = linalg::SimdIsa::kScalar;
+  kernel.pool = pool;
+  return kernel;
+}
+
 /// Section 2: the kernel-engine race. Returns all measurements.
-std::vector<KernelResult> RunKernelComparison(std::int64_t max_b) {
+std::vector<KernelResult> RunKernelComparison(std::int64_t max_b,
+                                              ThreadPool& pool) {
   bench::PrintHeader(
       "Kernel engine — naive scalar vs tiled+fused vs tiled+parallel\n"
       "(MinPlus = min(A, A \xe2\x8a\x97 B); naive is the seed's "
       "product+element-min path)");
   std::vector<KernelResult> results;
-  // This section races *variants* (loop structure), so the micro-kernel ISA
-  // is pinned to scalar: the tiled/naive/parallel records keep meaning what
-  // they always meant. Section 5 races the ISAs against each other.
-  linalg::ScopedSimdIsa isa_scope(linalg::SimdIsa::kScalar);
-  const linalg::KernelVariant variants[] = {
-      linalg::KernelVariant::kNaive, linalg::KernelVariant::kTiled,
-      linalg::KernelVariant::kTiledParallel};
+  // This section races loop structure and threading, so the micro-kernel
+  // ISA is pinned to scalar: the tiled/naive/parallel records keep meaning
+  // what they always meant. Section 5 races the ISAs against each other.
+  struct Variant {
+    const char* name;
+    linalg::KernelTuning kernel;  // unused by the naive reference
+  };
+  const Variant variants[] = {{"naive", ScalarKernel()},
+                              {"tiled", ScalarKernel()},
+                              {"tiled_parallel", ScalarKernel(&pool)}};
 
   std::printf("%16s %8s %16s %16s %10s %10s  %s\n", "kernel", "b", "variant",
               "time", "Gops", "speedup", "exact");
@@ -133,19 +146,23 @@ std::vector<KernelResult> RunKernelComparison(std::int64_t max_b) {
     // --- MinPlus building block -------------------------------------
     linalg::DenseBlock reference(0, 0);
     double naive_seconds = 0;
-    for (linalg::KernelVariant v : variants) {
-      linalg::ScopedKernelVariant scope(v);
+    for (const Variant& v : variants) {
       KernelResult r;
       r.kernel = "minplus";
-      r.variant = linalg::KernelVariantName(v);
+      r.variant = v.name;
       r.b = b;
       linalg::DenseBlock out(0, 0);
-      if (v == linalg::KernelVariant::kNaive) {
-        // The seed's unfused path: materialize the product, then a second
-        // element-min pass against the resident block.
+      if (r.variant == "naive") {
+        // The seed's unfused path: materialize the product with the scalar
+        // reference loops, then a second element-min pass against the
+        // resident block.
         r.seconds = BestOf(reps, [&] {
-          linalg::DenseBlock prod = linalg::MinPlusProduct(lhs, rhs);
-          linalg::ElementMinInPlace(prod, lhs);
+          linalg::DenseBlock prod(b, b, linalg::kInf);
+          linalg::MinPlusAccumulateRawNaive(b, b, b, lhs.data(), b,
+                                            rhs.data(), b,
+                                            prod.mutable_data(), b,
+                                            linalg::SemiringId::kMinPlus);
+          linalg::ElementMinInPlace(prod, lhs, v.kernel);
           out = std::move(prod);
         });
         naive_seconds = r.seconds;
@@ -154,7 +171,7 @@ std::vector<KernelResult> RunKernelComparison(std::int64_t max_b) {
         // The fused path the engine now runs: one pass, no product block.
         r.seconds = BestOf(reps, [&] {
           linalg::DenseBlock c = lhs;
-          linalg::MinPlusUpdate(lhs, rhs, c);
+          linalg::MinPlusUpdate(lhs, rhs, c, v.kernel);
           out = std::move(c);
         });
       }
@@ -177,19 +194,24 @@ std::vector<KernelResult> RunKernelComparison(std::int64_t max_b) {
     linalg::DenseBlock fw_reference = adj;
     linalg::ReferenceFloydWarshall(fw_reference);
     double fw_naive_seconds = 0;
-    for (linalg::KernelVariant v : variants) {
-      linalg::ScopedKernelVariant scope(v);
+    for (const Variant& v : variants) {
       KernelResult r;
       r.kernel = "floyd_warshall";
-      r.variant = linalg::KernelVariantName(v);
+      r.variant = v.name;
       r.b = b;
+      const bool naive = r.variant == "naive";
       linalg::DenseBlock out(0, 0);
       r.seconds = BestOf(reps, [&] {
         linalg::DenseBlock m = adj;
-        linalg::FloydWarshallInPlace(m);
+        // The naive reference is the textbook k-i-j closure.
+        if (naive) {
+          linalg::ReferenceFloydWarshall(m);
+        } else {
+          linalg::FloydWarshallInPlace(m, v.kernel);
+        }
         out = std::move(m);
       });
-      if (v == linalg::KernelVariant::kNaive) fw_naive_seconds = r.seconds;
+      if (naive) fw_naive_seconds = r.seconds;
       r.gops = ops / r.seconds / 1e9;
       r.speedup = fw_naive_seconds / r.seconds;
       // Blocked FW reorders relaxations; allow last-ulp differences but
@@ -215,9 +237,9 @@ std::vector<KernelResult> RunKernelComparison(std::int64_t max_b) {
 /// "row_stripe" runs the updates sequentially with only each update's rows
 /// striped over the pool (the pre-scheduler behavior); "work_steal" makes
 /// every block update a stealable task (the production path of the batch
-/// unpackers). Both run under kTiledParallel and must stay bitwise-equal to
-/// the sequential scalar loop.
-std::vector<KernelResult> RunSchedulerComparison() {
+/// unpackers). Both run with the pool in the kernel config and must stay
+/// bitwise-equal to the sequential scalar loop.
+std::vector<KernelResult> RunSchedulerComparison(ThreadPool& pool) {
   constexpr std::int64_t kB = 128;
   constexpr std::int64_t kQ = 8;
   bench::PrintHeader(
@@ -241,14 +263,17 @@ std::vector<KernelResult> RunSchedulerComparison() {
     linalg::MinPlusAccumulateRawNaive(
         kB, kB, kB, lhs[static_cast<std::size_t>(u / kQ)].data(), kB,
         rhs[static_cast<std::size_t>(u % kQ)].data(), kB,
-        reference[static_cast<std::size_t>(u)].mutable_data(), kB);
+        reference[static_cast<std::size_t>(u)].mutable_data(), kB,
+        linalg::SemiringId::kMinPlus);
   }
 
   const double ops = static_cast<double>(kQ) * kQ * kB * kB * kB;
-  linalg::ScopedKernelVariant scope(linalg::KernelVariant::kTiledParallel);
+  linalg::KernelTuning kernel;
+  kernel.pool = &pool;
   auto run_update = [&](std::vector<linalg::DenseBlock>& out, std::size_t u) {
     linalg::MinPlusUpdate(lhs[u / static_cast<std::size_t>(kQ)],
-                          rhs[u % static_cast<std::size_t>(kQ)], out[u]);
+                          rhs[u % static_cast<std::size_t>(kQ)], out[u],
+                          kernel);
   };
 
   std::printf("%16s %8s %16s %10s %10s  %s\n", "mode", "b", "time", "Gops",
@@ -267,7 +292,7 @@ std::vector<KernelResult> RunSchedulerComparison() {
           run_update(out, u);
         }
       } else {
-        linalg::KernelThreadPool().ParallelForTasks(
+        pool.ParallelForTasks(
             static_cast<std::size_t>(kQ * kQ),
             [&](std::size_t u) { run_update(out, u); });
       }
@@ -290,16 +315,15 @@ std::vector<KernelResult> RunSchedulerComparison() {
 }
 
 /// Section 4: the semiring engine. One record per semiring (fused tiled
-/// closure vs the naive variant of the same algebra), plus the headline
-/// "boolean_packed"/"bitpacked" record: the word-parallel bit plane against
-/// the dense-double boolean closure. Bitwise equality is against the scalar
-/// oracle of each semiring (SemiringClosureDispatch).
+/// closure vs the naive textbook closure of the same algebra), plus the
+/// headline "boolean_packed"/"bitpacked" record: the word-parallel bit plane
+/// against the dense-double boolean closure. Bitwise equality is against the
+/// scalar oracle of each semiring (SemiringClosureDispatch).
 std::vector<KernelResult> RunSemiringComparison(std::int64_t max_b) {
   constexpr std::int64_t kB = 1024;
   std::vector<KernelResult> results;
   if (kB > max_b) return results;
-  // Variant comparison again — ISA pinned to scalar (see Section 2 note).
-  linalg::ScopedSimdIsa isa_scope(linalg::SimdIsa::kScalar);
+  // Loop-structure comparison again — ISA pinned to scalar (see Section 2).
   bench::PrintHeader(
       "Semiring engine — fused closure per algebra at b = 1024\n"
       "(one generic kernel engine; boolean additionally runs the bit-packed "
@@ -337,24 +361,27 @@ std::vector<KernelResult> RunSemiringComparison(std::int64_t max_b) {
     linalg::SemiringClosureDispatch(id, oracle);
     const std::string name = std::string("semiring_") +
                              linalg::SemiringName(id);
+    linalg::KernelTuning kernel = ScalarKernel();
+    kernel.semiring = id;
     double naive_seconds = 0;
-    for (const linalg::KernelVariant v :
-         {linalg::KernelVariant::kNaive, linalg::KernelVariant::kTiled}) {
-      linalg::ScopedKernelVariant kernel_scope(v);
-      linalg::ScopedSemiring semiring_scope(id);
+    for (const bool naive : {true, false}) {
       KernelResult r;
       r.kernel = name;
-      r.variant = linalg::KernelVariantName(v);
+      r.variant = naive ? "naive" : "tiled";
       r.b = kB;
       linalg::DenseBlock out(0, 0);
       r.seconds = BestOf(1, [&] {
         linalg::DenseBlock m = base;
-        linalg::FloydWarshallInPlace(m);
+        // The naive reference is the algebra's textbook k-i-j closure.
+        if (naive) {
+          linalg::SemiringClosureDispatch(id, m);
+        } else {
+          linalg::FloydWarshallInPlace(m, kernel);
+        }
         out = std::move(m);
       });
-      if (v == linalg::KernelVariant::kNaive) naive_seconds = r.seconds;
-      if (id == linalg::SemiringId::kBoolean &&
-          v == linalg::KernelVariant::kTiled) {
+      if (naive) naive_seconds = r.seconds;
+      if (id == linalg::SemiringId::kBoolean && !naive) {
         boolean_dense_seconds = r.seconds;
       }
       r.gops = ops / r.seconds / 1e9;
@@ -372,7 +399,8 @@ std::vector<KernelResult> RunSemiringComparison(std::int64_t max_b) {
   // packed closure against the *dense tiled* boolean closure — the fair
   // same-variant comparison the memory plane replaces.
   {
-    linalg::ScopedSemiring semiring_scope(linalg::SemiringId::kBoolean);
+    linalg::KernelTuning kernel = ScalarKernel();
+    kernel.semiring = linalg::SemiringId::kBoolean;
     const linalg::DenseBlock dense_base =
         linalg::SemiringAdjacency(minplus_adj, linalg::SemiringId::kBoolean);
     linalg::DenseBlock oracle = dense_base;
@@ -385,7 +413,7 @@ std::vector<KernelResult> RunSemiringComparison(std::int64_t max_b) {
     linalg::DenseBlock out(0, 0);
     r.seconds = BestOf(3, [&] {
       linalg::DenseBlock m = packed_base;
-      linalg::FloydWarshallInPlace(m);
+      linalg::FloydWarshallInPlace(m, kernel);
       out = std::move(m);
     });
     r.gops = ops / r.seconds / 1e9;
@@ -424,7 +452,6 @@ std::vector<KernelResult> RunSimdComparison(std::int64_t max_b) {
   const linalg::DenseBlock rhs = RandomBlock(b, 22);
   const double ops = static_cast<double>(b) * b * b;
   const int reps = b >= 1024 ? 3 : 5;
-  linalg::ScopedKernelVariant variant_scope(linalg::KernelVariant::kTiled);
 
   std::vector<linalg::SimdIsa> isas = {linalg::SimdIsa::kScalar};
   if (linalg::SimdIsaAvailable(linalg::SimdIsa::kAvx2)) {
@@ -439,7 +466,8 @@ std::vector<KernelResult> RunSimdComparison(std::int64_t max_b) {
   double scalar_seconds = 0;
   linalg::DenseBlock scalar_out(0, 0);
   for (const linalg::SimdIsa isa : isas) {
-    linalg::ScopedSimdIsa isa_scope(isa);
+    linalg::KernelTuning kernel;
+    kernel.isa = isa;
     KernelResult r;
     r.kernel = "minplus_simd";
     r.variant = linalg::SimdIsaName(isa);
@@ -447,7 +475,7 @@ std::vector<KernelResult> RunSimdComparison(std::int64_t max_b) {
     linalg::DenseBlock out(0, 0);
     r.seconds = BestOf(reps, [&] {
       linalg::DenseBlock c = lhs;
-      linalg::MinPlusUpdate(lhs, rhs, c);
+      linalg::MinPlusUpdate(lhs, rhs, c, kernel);
       out = std::move(c);
     });
     if (isa == linalg::SimdIsa::kScalar) {
@@ -483,9 +511,9 @@ int main() {
   std::printf("%8s %16s %16s %16s %16s\n", "b", "FW measured", "FW model",
               "MinPlus measured", "MinPlus model");
   // The model columns are calibrated against the sequential *scalar* kernels
-  // (0.762 Gops, L3 knee at b = 1810): pin the naive variant so measured and
-  // model compare like with like. Section 2 below races the tiled engine.
-  linalg::ScopedKernelVariant figure_scope(linalg::KernelVariant::kNaive);
+  // (0.762 Gops, L3 knee at b = 1810): measure the naive reference loops so
+  // measured and model compare like with like. Section 2 below races the
+  // tiled engine.
   const std::int64_t sizes[] = {128,  256,  384,  512,  768, 1024,
                                 1536, 2048, 3072, 4096, 6144, 8192, 10000};
   for (std::int64_t b : sizes) {
@@ -498,14 +526,16 @@ int main() {
     if (b <= max_measured) {
       linalg::DenseBlock fw = RandomBlock(b, 1);
       WallTimer t1;
-      linalg::FloydWarshallInPlace(fw);
+      linalg::ReferenceFloydWarshall(fw);
       fw_meas = FormatSeconds(t1.ElapsedSeconds(), 3);
 
       const linalg::DenseBlock lhs = RandomBlock(b, 2);
       const linalg::DenseBlock rhs = RandomBlock(b, 3);
       WallTimer t2;
       linalg::DenseBlock prod = lhs;
-      linalg::MinPlusUpdate(lhs, rhs, prod);
+      linalg::MinPlusAccumulateRawNaive(b, b, b, lhs.data(), b, rhs.data(), b,
+                                        prod.mutable_data(), b,
+                                        linalg::SemiringId::kMinPlus);
       mp_meas = FormatSeconds(t2.ElapsedSeconds(), 3);
     }
     std::printf("%8lld %16s %16s %16s %16s\n",
@@ -522,8 +552,9 @@ int main() {
               FormatSeconds(model.FloydWarshallSeconds(256), 3).c_str(),
               FormatDuration(model.FloydWarshallSeconds(10000)).c_str());
 
-  auto results = RunKernelComparison(max_measured);
-  const auto sched_results = RunSchedulerComparison();
+  ThreadPool pool(0);  // hardware concurrency: the tiled_parallel records
+  auto results = RunKernelComparison(max_measured, pool);
+  const auto sched_results = RunSchedulerComparison(pool);
   results.insert(results.end(), sched_results.begin(), sched_results.end());
   const auto semiring_results = RunSemiringComparison(max_measured);
   results.insert(results.end(), semiring_results.begin(),
@@ -582,7 +613,7 @@ int main() {
       return 1;
     }
     if (r.variant != "work_steal") continue;
-    if (linalg::KernelThreadPool().num_threads() <= 1) {
+    if (pool.num_threads() <= 1) {
       std::printf("note: scheduler gate NOT evaluated (single-core host)\n");
     } else if (r.speedup < sched_min_speedup) {
       std::fprintf(stderr,

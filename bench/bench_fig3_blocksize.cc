@@ -85,7 +85,7 @@ int main() {
       "Figure 3 (top/middle) — Blocked-IM and Blocked-CB time vs block size\n"
       "n = 131072, p = 1024 (simulated, projected from one iteration)");
   std::printf("kernels: %s\n\n",
-              linalg::DescribeKernelTuning(linalg::GetKernelTuning()).c_str());
+              linalg::DescribeKernelTuning(linalg::KernelTuning{}).c_str());
 
   std::printf("%-10s %-4s %-3s", "b", "Part", "B");
   std::printf(" %14s %14s\n", "IM total", "CB total");

@@ -16,6 +16,7 @@
 #include "bench_util.h"
 #include "common/rng.h"
 #include "common/serial.h"
+#include "common/thread_pool.h"
 #include "common/time_utils.h"
 #include "graph/generators.h"
 #include "graph/shortest_paths.h"
@@ -54,48 +55,59 @@ void PrintRow(const std::string& name, const std::string& config,
               config.c_str(), seconds * 1e3, items_per_sec, unit);
 }
 
-/// Fused min-plus update across registry variants, then across SIMD ISAs at
-/// the tiled variant — the micro view of the fig2 races.
+/// Fused min-plus update: the naive reference loops, then the tiled kernels
+/// inline and pooled, then across SIMD ISAs inline — the micro view of the
+/// fig2 races.
 void KernelProbes() {
   bench::PrintHeader("micro: kernels (b = 256, best of 5)");
   const std::int64_t b = 256;
   const auto lhs = RandomBlock(b, 1);
   const auto rhs = RandomBlock(b, 2);
   const double ops = static_cast<double>(b) * b * b;
-  for (linalg::KernelVariant variant :
-       {linalg::KernelVariant::kNaive, linalg::KernelVariant::kTiled,
-        linalg::KernelVariant::kTiledParallel}) {
-    linalg::ScopedKernelVariant scope(variant);
-    linalg::ScopedSimdIsa isa(linalg::SimdIsa::kScalar);
+  ThreadPool pool(0);
+  linalg::KernelTuning scalar;
+  scalar.isa = linalg::SimdIsa::kScalar;
+  linalg::KernelTuning scalar_pooled = scalar;
+  scalar_pooled.pool = &pool;
+  {
     const double s = BestOf(5, [&] {
       linalg::DenseBlock c = lhs;
-      linalg::MinPlusUpdate(lhs, rhs, c);
+      linalg::MinPlusAccumulateRawNaive(b, b, b, lhs.data(), b, rhs.data(), b,
+                                        c.mutable_data(), b,
+                                        linalg::SemiringId::kMinPlus);
+    });
+    PrintRow("minplus_update", "variant=naive", s, ops / s / 1e9, "Gops");
+  }
+  for (const bool pooled : {false, true}) {
+    const linalg::KernelTuning& kernel = pooled ? scalar_pooled : scalar;
+    const double s = BestOf(5, [&] {
+      linalg::DenseBlock c = lhs;
+      linalg::MinPlusUpdate(lhs, rhs, c, kernel);
     });
     PrintRow("minplus_update",
-             std::string("variant=") + linalg::KernelVariantName(variant), s,
+             pooled ? "variant=tiled_parallel" : "variant=tiled", s,
              ops / s / 1e9, "Gops");
   }
   for (linalg::SimdIsa isa :
        {linalg::SimdIsa::kScalar, linalg::SimdIsa::kAvx2,
         linalg::SimdIsa::kAvx512}) {
     if (!linalg::SimdIsaAvailable(isa)) continue;
-    linalg::ScopedKernelVariant scope(linalg::KernelVariant::kTiled);
-    linalg::ScopedSimdIsa isa_scope(isa);
+    linalg::KernelTuning kernel;
+    kernel.isa = isa;
     const double s = BestOf(5, [&] {
       linalg::DenseBlock c = lhs;
-      linalg::MinPlusUpdate(lhs, rhs, c);
+      linalg::MinPlusUpdate(lhs, rhs, c, kernel);
     });
     PrintRow("minplus_update",
              std::string("isa=") + linalg::SimdIsaName(isa), s, ops / s / 1e9,
              "Gops");
   }
   {
-    linalg::ScopedKernelVariant scope(linalg::KernelVariant::kTiled);
+    const linalg::KernelTuning kernel;
     const auto block = RandomBlock(b, 3);
     const double s = BestOf(5, [&] {
       linalg::DenseBlock copy = block;
-      linalg::BlockedFloydWarshall(copy,
-                                   linalg::GetKernelTuning().fw_block);
+      linalg::BlockedFloydWarshall(copy, kernel.fw_block, kernel);
     });
     PrintRow("blocked_floyd_warshall", "variant=tiled", s, ops / s / 1e9,
              "Gops");
@@ -174,7 +186,7 @@ void EndToEndProbe() {
 
 int main() {
   std::printf("kernels: %s\n",
-              linalg::DescribeKernelTuning(linalg::GetKernelTuning()).c_str());
+              linalg::DescribeKernelTuning(linalg::KernelTuning{}).c_str());
   KernelProbes();
   PartitionerProbes();
   SerializationProbes();

@@ -130,6 +130,10 @@ struct ApspRunResult {
   /// would die before finishing (paper Table 3: Blocked-IM at p = 1024).
   bool projected_storage_exceeded = false;
 
+  /// Membership plans (fail_nodes / fail_racks / add_nodes) whose stage lay
+  /// past the job's end, e.g. "node 1 at stage 40"; disarmed on return.
+  std::vector<std::string> unfired_plans;
+
   double SecondsPerRound() const noexcept {
     return rounds_executed > 0
                ? sim_seconds / static_cast<double>(rounds_executed)

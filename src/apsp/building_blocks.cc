@@ -26,14 +26,14 @@ BlockRef MatProd(const BlockRef& a, const BlockRef& b,
   tc.ChargeCompute(
       tc.cost_model().MinPlusSeconds(a->rows(), b->cols(), a->cols()) *
       tc.cost_model().BitpackScale(a->is_packed()));
-  return linalg::MakeBlock(linalg::MinPlusProduct(*a, *b));
+  return linalg::MakeBlock(linalg::MinPlusProduct(*a, *b, tc.kernel()));
 }
 
 BlockRef MatMin(const BlockRef& a, const BlockRef& b,
                 sparklet::TaskContext& tc) {
   tc.ChargeCompute(tc.cost_model().ElementwiseSeconds(a->size()) *
                    tc.cost_model().BitpackScale(a->is_packed()));
-  return linalg::MakeBlock(linalg::ElementMin(*a, *b));
+  return linalg::MakeBlock(linalg::ElementMin(*a, *b, tc.kernel()));
 }
 
 namespace {
@@ -72,22 +72,23 @@ void ChargeIntraTask(std::vector<double>&& pieces, sparklet::TaskContext& tc) {
   tc.ChargeCompute(tc.cost_model().IntraTaskSpan(std::move(pieces)));
 }
 
-/// Pure numeric part (no TaskContext): safe to run on any host thread. The
-/// base copy is the data plane's sanctioned copy-on-write mutation site.
-BlockRef RunFused(const FusedUpdate& u) {
+/// Pure numeric part (reads only the immutable kernel config): safe to run
+/// on any host thread. The base copy is the data plane's sanctioned
+/// copy-on-write mutation site.
+BlockRef RunFused(const FusedUpdate& u, const linalg::KernelTuning& kernel) {
   DenseBlock out = u.base.MutableCopy();
-  linalg::MinPlusUpdate(*u.left, *u.right, out);
+  linalg::MinPlusUpdate(*u.left, *u.right, out, kernel);
   return linalg::MakeBlock(std::move(out));
 }
 
 /// Runs `count` independent numeric updates: as stealable block tasks on the
-/// host pool under kTiledParallel, sequentially otherwise (naive / tiled are
-/// single-threaded baselines by contract: their solver-level timings must
+/// kernel config's pool when it has one, inline otherwise (an inline config
+/// is a single-threaded baseline by contract: its solver-level timings must
 /// not be silently multithreaded).
-void RunStealableTasks(std::size_t count,
+void RunStealableTasks(std::size_t count, const linalg::KernelTuning& kernel,
                        const std::function<void(std::size_t)>& run_one) {
-  if (linalg::GetKernelVariant() == linalg::KernelVariant::kTiledParallel) {
-    linalg::KernelThreadPool().ParallelForTasks(count, run_one);
+  if (kernel.pool != nullptr) {
+    kernel.pool->ParallelForTasks(count, run_one);
   } else {
     for (std::size_t i = 0; i < count; ++i) run_one(i);
   }
@@ -99,9 +100,7 @@ void RunStealableTasks(std::size_t count,
 /// dispatch each. Order within a group (and across groups, per update) is
 /// the input order, so results are bitwise identical to one-task-per-update.
 std::vector<std::pair<std::size_t, std::size_t>> GrainGroups(
-    const std::vector<double>& costs) {
-  const double floor_seconds =
-      linalg::GetKernelTuning().task_grain_floor_seconds;
+    const std::vector<double>& costs, double floor_seconds) {
   std::vector<std::pair<std::size_t, std::size_t>> groups;
   std::size_t begin = 0;
   double acc = 0;
@@ -128,18 +127,18 @@ std::vector<std::pair<std::size_t, std::size_t>> GrainGroups(
 /// RunStealableTasks with the per-update modelled costs known: merges
 /// below-floor updates into shared stealable tasks (see GrainGroups).
 void RunStealableTasksAdaptive(
-    const std::vector<double>& costs,
+    const std::vector<double>& costs, const linalg::KernelTuning& kernel,
     const std::function<void(std::size_t)>& run_one) {
-  if (linalg::GetKernelVariant() != linalg::KernelVariant::kTiledParallel) {
-    RunStealableTasks(costs.size(), run_one);
+  if (kernel.pool == nullptr) {
+    RunStealableTasks(costs.size(), kernel, run_one);
     return;
   }
-  const auto groups = GrainGroups(costs);
+  const auto groups = GrainGroups(costs, kernel.task_grain_floor_seconds);
   if (groups.size() == costs.size()) {  // nothing merged: skip indirection
-    RunStealableTasks(costs.size(), run_one);
+    RunStealableTasks(costs.size(), kernel, run_one);
     return;
   }
-  RunStealableTasks(groups.size(), [&](std::size_t g) {
+  RunStealableTasks(groups.size(), kernel, [&](std::size_t g) {
     for (std::size_t i = groups[g].first; i < groups[g].second; ++i) {
       run_one(i);
     }
@@ -152,7 +151,7 @@ BlockRef MinPlusInto(const BlockRef& base, const BlockRef& a,
                      const BlockRef& b, sparklet::TaskContext& tc) {
   FusedUpdate update{BlockKey{}, base, a, b};
   ChargeFused(update, tc);
-  return RunFused(update);
+  return RunFused(update, tc.kernel());
 }
 
 BlockRef MinPlus(const BlockRef& a, const BlockRef& b,
@@ -167,7 +166,7 @@ BlockRef MinPlusRect(const BlockRef& base, const BlockRef& a,
        tc.cost_model().ElementwiseSeconds(base->size())) *
       tc.cost_model().BitpackScale(base->is_packed()));
   DenseBlock out = base.MutableCopy();
-  linalg::MinPlusUpdateRect(*a, *panel, out);
+  linalg::MinPlusUpdateRect(*a, *panel, out, tc.kernel());
   return linalg::MakeBlock(std::move(out));
 }
 
@@ -178,7 +177,8 @@ namespace {
 /// `kernel(left, right, c)` per triple as stealable tasks.
 std::vector<BlockRef> RunTripleBatch(
     std::vector<FusedTriple>&& updates, sparklet::TaskContext& tc,
-    void (*kernel)(const DenseBlock&, const DenseBlock&, DenseBlock&)) {
+    void (*kernel)(const DenseBlock&, const DenseBlock&, DenseBlock&,
+                   const linalg::KernelTuning&)) {
   std::vector<double> pieces;
   pieces.reserve(updates.size());
   for (const FusedTriple& u : updates) {
@@ -188,9 +188,10 @@ std::vector<BlockRef> RunTripleBatch(
   }
   ChargeIntraTask(std::vector<double>(pieces), tc);
   std::vector<BlockRef> out(updates.size());
-  RunStealableTasksAdaptive(pieces, [&](std::size_t i) {
+  const linalg::KernelTuning& config = tc.kernel();
+  RunStealableTasksAdaptive(pieces, config, [&](std::size_t i) {
     DenseBlock c = updates[i].base.MutableCopy();
-    kernel(*updates[i].left, *updates[i].right, c);
+    kernel(*updates[i].left, *updates[i].right, c, config);
     out[i] = linalg::MakeBlock(std::move(c));
   });
   return out;
@@ -212,7 +213,7 @@ BlockRef FloydWarshall(const BlockRef& a, sparklet::TaskContext& tc) {
   tc.ChargeCompute(tc.cost_model().FloydWarshallSeconds(a->rows()) *
                    tc.cost_model().BitpackScale(a->is_packed()));
   DenseBlock closed = a.MutableCopy();
-  linalg::FloydWarshallInPlace(closed);
+  linalg::FloydWarshallInPlace(closed, tc.kernel());
   return linalg::MakeBlock(std::move(closed));
 }
 
@@ -272,7 +273,7 @@ BlockRecord FloydWarshallUpdate(
   tc.ChargeCompute(tc.cost_model().ElementwiseSeconds(block->size()) *
                    tc.cost_model().BitpackScale(block->is_packed()));
   DenseBlock updated = block.MutableCopy();
-  linalg::OuterSumMinUpdate(updated, *u, *v);
+  linalg::OuterSumMinUpdate(updated, *u, *v, tc.kernel());
   return {key, linalg::MakeBlock(std::move(updated))};
 }
 
@@ -297,12 +298,13 @@ std::vector<BlockRecord> FloydWarshallUpdateBatch(
   }
   ChargeIntraTask(std::vector<double>(pieces), tc);
   std::vector<BlockRecord> out(records.size());
-  RunStealableTasksAdaptive(pieces, [&](std::size_t r) {
+  const linalg::KernelTuning& kernel = tc.kernel();
+  RunStealableTasksAdaptive(pieces, kernel, [&](std::size_t r) {
     const auto& [key, block] = records[r];
     const BlockRef& u = column_segments[static_cast<std::size_t>(key.I)];
     const BlockRef& v = row_segments[static_cast<std::size_t>(key.J)];
     DenseBlock updated = block.MutableCopy();
-    linalg::OuterSumMinUpdate(updated, *u, *v);
+    linalg::OuterSumMinUpdate(updated, *u, *v, kernel);
     out[r] = {key, linalg::MakeBlock(std::move(updated))};
   });
   return out;
@@ -407,9 +409,10 @@ std::vector<BlockRecord> UnpackBatch(std::vector<ListRecord>&& records,
     }
   }
   ChargeIntraTask(std::vector<double>(pieces), tc);
-  RunStealableTasksAdaptive(pieces, [&](std::size_t p) {
+  const linalg::KernelTuning& kernel = tc.kernel();
+  RunStealableTasksAdaptive(pieces, kernel, [&](std::size_t p) {
     out[pending[p].first] = {pending[p].second.key,
-                             RunFused(pending[p].second)};
+                             RunFused(pending[p].second, kernel)};
   });
   return out;
 }
@@ -422,7 +425,7 @@ BlockRecord Phase2Unpack(const BlockLayout& layout, std::int64_t i,
   BlockRecord passthrough;
   if (auto update = PlanPhase2(i, record, passthrough)) {
     ChargeFused(*update, tc);
-    return {update->key, RunFused(*update)};
+    return {update->key, RunFused(*update, tc.kernel())};
   }
   return passthrough;
 }
@@ -494,7 +497,7 @@ BlockRecord Phase3Unpack(const BlockLayout& layout, std::int64_t i,
   BlockRecord passthrough;
   if (auto update = PlanPhase3(i, record, passthrough)) {
     ChargeFused(*update, tc);
-    return {update->key, RunFused(*update)};
+    return {update->key, RunFused(*update, tc.kernel())};
   }
   return passthrough;
 }

@@ -67,14 +67,13 @@ std::unique_ptr<Workload> MakeApspWorkload(
 ApspRunResult RunSolve(sparklet::SparkletContext& ctx,
                        const BlockLayout& layout, const ApspOptions& opts,
                        Workload& workload, bool phantom) {
-  // Select the host kernel implementation for this run (restored on return
-  // so one run's config cannot leak into other work in the process). This
-  // only affects how fast real blocks are processed on this machine;
-  // modelled cluster time comes from the cost model either way.
-  linalg::ScopedKernelVariant kernel_scope(ctx.config().kernel_variant);
-  // Pin the run's algebra: every kernel entry point this solve reaches —
-  // fused updates, closures, element-wise folds — evaluates opts.semiring.
-  linalg::ScopedSemiring semiring_scope(opts.semiring);
+  // Resolve the solve's kernel config once — the cluster's ISA, tiles and
+  // pool under the request's semiring — and hand it to every task through
+  // TaskContext::kernel(); the context's previous config returns on exit.
+  const linalg::KernelTuning previous_kernel = ctx.kernel();
+  linalg::KernelTuning kernel = ctx.config().kernel;
+  kernel.semiring = opts.semiring;
+  ctx.set_kernel(kernel);
   ApspRunResult result;
   result.rounds_total = workload.TotalRounds();
   const std::int64_t rounds_remaining =
@@ -181,6 +180,8 @@ ApspRunResult RunSolve(sparklet::SparkletContext& ctx,
       result.status = assembled->status();
     }
   }
+  result.unfired_plans = ctx.fault_injector().TakeUnfiredPlans();
+  ctx.set_kernel(previous_kernel);
   return result;
 }
 

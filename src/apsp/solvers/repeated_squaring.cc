@@ -17,9 +17,14 @@ using sparklet::TaskContext;
 
 namespace {
 
+/// Shared-storage prefix of every column segment staged by one squaring.
+std::string SquaringPrefix(std::int64_t squaring) {
+  return "rs/" + std::to_string(squaring) + "/";
+}
+
 std::string ColumnKey(std::int64_t squaring, std::int64_t j,
                       std::int64_t k) {
-  return "rs/" + std::to_string(squaring) + "/" + std::to_string(j) + "/" +
+  return SquaringPrefix(squaring) + std::to_string(j) + "/" +
          std::to_string(k);
 }
 
@@ -109,7 +114,8 @@ void RepeatedSquaringSolver::RunRounds(sparklet::SparkletContext& ctx,
               if (it == acc.end()) {
                 tc.ChargeCompute(tc.cost_model().MinPlusSeconds(
                     lhs->rows(), seg->cols(), lhs->cols()));
-                acc.emplace(row, linalg::MinPlusProduct(*lhs, *seg));
+                acc.emplace(row,
+                            linalg::MinPlusProduct(*lhs, *seg, tc.kernel()));
                 order.push_back(row);
                 return;
               }
@@ -117,7 +123,7 @@ void RepeatedSquaringSolver::RunRounds(sparklet::SparkletContext& ctx,
                                    lhs->rows(), seg->cols(), lhs->cols()) +
                                tc.cost_model().ElementwiseSeconds(
                                    it->second.size()));
-              linalg::MinPlusUpdate(*lhs, *seg, it->second);
+              linalg::MinPlusUpdate(*lhs, *seg, it->second, tc.kernel());
             };
             for (const auto& [key, block] : part) {
               if (directed) {
@@ -162,10 +168,15 @@ void RepeatedSquaringSolver::RunRounds(sparklet::SparkletContext& ctx,
     current = ctx.Union("rs-union", products);
     current->Persist();
     current->EnsureMaterialized();
-    // The previous squaring is finished: release its union and the column
-    // products it unions (never the seed, which a restart reseeds).
+    // The previous squaring is finished: release its union, the column
+    // products it unions (never the seed, which a restart reseeds) and the
+    // segments it staged: a loss never replays this impure plane's map
+    // side, it restarts and restages.
     if (prev != a_) prev->Unpersist();
     for (const auto& product : prev_products) product->Unpersist();
+    if (squaring > 0) {
+      ctx.shared_storage().ErasePrefix(SquaringPrefix(squaring - 1));
+    }
     prev_products = std::move(products);
     // Durability extension: the matrix is consistent here (a completed
     // squaring), so this is where Repeated Squaring can checkpoint — the

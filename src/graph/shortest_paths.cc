@@ -118,7 +118,7 @@ Result<linalg::DenseBlock> JohnsonAllPairs(const Graph& g) {
 linalg::DenseBlock FloydWarshallAllPairs(const Graph& g,
                                          std::int64_t block_size) {
   linalg::DenseBlock a = g.ToDenseAdjacency();
-  linalg::BlockedFloydWarshall(a, block_size);
+  linalg::BlockedFloydWarshall(a, block_size, linalg::KernelTuning{});
   return a;
 }
 

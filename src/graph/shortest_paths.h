@@ -29,7 +29,8 @@ Result<std::vector<double>> BellmanFord(const Graph& g, VertexId source);
 /// it reduces to DijkstraAllPairs modulo the reweighting pass.
 Result<linalg::DenseBlock> JohnsonAllPairs(const Graph& g);
 
-/// APSP via sequential (cache-blocked) Floyd-Warshall on the dense adjacency.
+/// APSP via sequential (cache-blocked) Floyd-Warshall on the dense adjacency,
+/// under the default (min, +), inline kernel config.
 linalg::DenseBlock FloydWarshallAllPairs(const Graph& g,
                                          std::int64_t block_size = 64);
 

@@ -185,7 +185,6 @@ bool GeometryKeepsBitwiseLock(const KernelTuning& candidate,
   constexpr std::int64_t kM = 67, kN = 93, kK = 81;
   const SemiringId rings[] = {SemiringId::kMinPlus, SemiringId::kBoolean,
                               SemiringId::kMaxMin, SemiringId::kMaxTimes};
-  const KernelTuning saved = GetKernelTuning();
   bool ok = true;
   for (const SemiringId ring : rings) {
     // Seeded in-domain operands: finite weights with a sprinkle of
@@ -222,10 +221,9 @@ bool GeometryKeepsBitwiseLock(const KernelTuning& candidate,
 
     KernelTuning tuning = candidate;
     tuning.semiring = ring;
-    SetKernelTuning(tuning);
-    MinPlusAccumulateRawTiled(kM, kN, kK, a.data(), kK, b.data(), kN,
-                              c.mutable_data(), kN, /*parallel=*/false);
-    SetKernelTuning(saved);
+    tuning.pool = nullptr;
+    MinPlusAccumulateRaw(kM, kN, kK, a.data(), kK, b.data(), kN,
+                         c.mutable_data(), kN, tuning);
 
     WithSemiring(ring, [&](auto s) {
       using S = decltype(s);
@@ -238,7 +236,6 @@ bool GeometryKeepsBitwiseLock(const KernelTuning& candidate,
       break;
     }
   }
-  SetKernelTuning(saved);
   return ok;
 }
 
@@ -252,19 +249,17 @@ double RaceGeometry(const KernelTuning& candidate, std::uint64_t seed) {
     a.mutable_data()[i] = rng.NextDouble(0.0, 100.0);
     b.mutable_data()[i] = rng.NextDouble(0.0, 100.0);
   }
-  const KernelTuning saved = GetKernelTuning();
   KernelTuning tuning = candidate;
   tuning.semiring = SemiringId::kMinPlus;
-  SetKernelTuning(tuning);
+  tuning.pool = nullptr;
   double best = std::numeric_limits<double>::infinity();
   for (int rep = 0; rep < 3; ++rep) {
     DenseBlock c(kB, kB, kInf);
     WallTimer timer;
-    MinPlusAccumulateRawTiled(kB, kB, kB, a.data(), kB, b.data(), kB,
-                              c.mutable_data(), kB, /*parallel=*/false);
+    MinPlusAccumulateRaw(kB, kB, kB, a.data(), kB, b.data(), kB,
+                         c.mutable_data(), kB, tuning);
     best = std::min(best, timer.ElapsedSeconds());
   }
-  SetKernelTuning(saved);
   return best;
 }
 
@@ -287,9 +282,10 @@ void ResetAutoTuneMemoForTest() {
   g_autotune_memo = AutoTuneMemo{};
 }
 
-KernelTuning KernelTuning::AutoTune(std::uint64_t seed, bool confirm_race) {
+KernelTuning KernelTuning::AutoTune(const KernelTuning& base,
+                                    std::uint64_t seed, bool confirm_race) {
   std::lock_guard<std::mutex> lock(g_autotune_mutex);
-  KernelTuning result = GetKernelTuning();
+  KernelTuning result = base;
   if (g_autotune_memo.valid && g_autotune_memo.seed == seed &&
       g_autotune_memo.confirm_race == confirm_race) {
     result.tile_j = g_autotune_memo.tile_j;

@@ -59,7 +59,7 @@ CacheHierarchy DetectCacheHierarchy(std::uint64_t seed);
 ///            half of L2;
 ///   fw_block largest power of two keeping the three-tile working set of a
 ///            blocked-FW phase-3 update in half of min(L2, L3/4).
-/// All other fields (variant, semiring, isa, parallel thresholds) are copied
+/// All other fields (semiring, isa, pool, parallel thresholds) are copied
 /// from `base` unchanged; auto_tuned is set.
 KernelTuning DeriveKernelTuning(const CacheHierarchy& caches,
                                 const KernelTuning& base);

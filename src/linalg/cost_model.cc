@@ -65,20 +65,21 @@ DenseBlock RandomBlock(std::int64_t rows, std::int64_t cols,
 CostModel CostModel::Calibrate(std::int64_t b, std::uint64_t seed) {
   CostModel model;  // start from paper defaults (keeps cache parameters)
   const double ops = static_cast<double>(b) * b * b;
+  const KernelTuning kernel;  // (min, +), inline: one core's throughput
 
   DenseBlock fw = RandomBlock(b, b, seed);
   apspark::WallTimer timer;
-  FloydWarshallInPlace(fw);
+  FloydWarshallInPlace(fw, kernel);
   model.fw_op_seconds = std::max(1e-12, timer.ElapsedSeconds() / ops);
 
   const DenseBlock lhs = RandomBlock(b, b, seed + 1);
   const DenseBlock rhs = RandomBlock(b, b, seed + 2);
   timer.Reset();
-  DenseBlock prod = MinPlusProduct(lhs, rhs);
+  DenseBlock prod = MinPlusProduct(lhs, rhs, kernel);
   model.minplus_op_seconds = std::max(1e-12, timer.ElapsedSeconds() / ops);
 
   timer.Reset();
-  ElementMinInPlace(prod, lhs);
+  ElementMinInPlace(prod, lhs, kernel);
   model.elementwise_op_seconds = std::max(
       1e-13, timer.ElapsedSeconds() / (static_cast<double>(b) * b));
   return model;

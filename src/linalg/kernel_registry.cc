@@ -2,7 +2,6 @@
 
 #include <cstdio>
 #include <cstdlib>
-#include <memory>
 
 #include "common/thread_pool.h"
 #include "linalg/simd.h"
@@ -28,14 +27,11 @@ bool CpuSupports(SimdIsa isa) noexcept {
 #endif
 }
 
-KernelTuning& MutableTuning() {
-  static KernelTuning tuning;
+/// Backs GetKernelTuning / ScopedSimdIsa: one default per thread, so a
+/// benchmark pinning its own thread's ISA cannot reach any other thread.
+KernelTuning& ThreadDefaultTuning() {
+  thread_local KernelTuning tuning;
   return tuning;
-}
-
-ThreadPool*& OverridePool() {
-  static ThreadPool* pool = nullptr;
-  return pool;
 }
 
 }  // namespace
@@ -113,10 +109,11 @@ std::optional<SimdIsa> ParseSimdIsa(std::string_view name) {
 
 std::string DescribeKernelTuning(const KernelTuning& tuning) {
   const SimdIsa resolved = ResolveSimdIsa(tuning.isa);
-  std::string out = "variant=";
-  out += KernelVariantName(tuning.variant);
-  out += " semiring=";
-  out += SemiringName(tuning.semiring);
+  std::string out =
+      tuning.pool == nullptr
+          ? std::string("tiled")
+          : "tiled_parallel (" + std::to_string(tuning.pool->num_threads()) +
+                " threads)";
   out += " isa=";
   out += SimdIsaName(resolved);
   out += " (requested ";
@@ -133,52 +130,19 @@ std::string DescribeKernelTuning(const KernelTuning& tuning) {
   return out;
 }
 
-const KernelTuning& GetKernelTuning() noexcept { return MutableTuning(); }
-
-void SetKernelTuning(const KernelTuning& tuning) noexcept {
-  MutableTuning() = tuning;
+const KernelTuning& GetKernelTuning() noexcept {
+  return ThreadDefaultTuning();
 }
 
-void SetKernelVariant(KernelVariant variant) noexcept {
-  MutableTuning().variant = variant;
+ScopedSimdIsa::ScopedSimdIsa(SimdIsa isa) : saved_(ThreadDefaultTuning().isa) {
+  ThreadDefaultTuning().isa = isa;
 }
 
-KernelVariant GetKernelVariant() noexcept { return MutableTuning().variant; }
-
-void SetActiveSemiring(SemiringId semiring) noexcept {
-  MutableTuning().semiring = semiring;
-}
-
-SemiringId GetActiveSemiring() noexcept { return MutableTuning().semiring; }
-
-void SetKernelThreadPool(ThreadPool* pool) noexcept { OverridePool() = pool; }
+ScopedSimdIsa::~ScopedSimdIsa() { ThreadDefaultTuning().isa = saved_; }
 
 ThreadPool& KernelThreadPool() {
-  if (OverridePool() != nullptr) return *OverridePool();
-  static std::unique_ptr<ThreadPool> default_pool =
-      std::make_unique<ThreadPool>(0);
-  return *default_pool;
-}
-
-const char* KernelVariantName(KernelVariant variant) noexcept {
-  switch (variant) {
-    case KernelVariant::kNaive:
-      return "naive";
-    case KernelVariant::kTiled:
-      return "tiled";
-    case KernelVariant::kTiledParallel:
-      return "tiled_parallel";
-  }
-  return "?";
-}
-
-std::optional<KernelVariant> ParseKernelVariant(std::string_view name) {
-  if (name == "naive") return KernelVariant::kNaive;
-  if (name == "tiled") return KernelVariant::kTiled;
-  if (name == "tiled_parallel" || name == "parallel") {
-    return KernelVariant::kTiledParallel;
-  }
-  return std::nullopt;
+  static ThreadPool pool(0);
+  return pool;
 }
 
 const char* SemiringName(SemiringId semiring) noexcept {

@@ -1,25 +1,20 @@
-// Kernel variant registry.
+// Kernel configuration.
 //
-// The linalg layer ships three interchangeable implementations of every hot
-// kernel (min-plus product/update, Floyd-Warshall):
+// Every hot kernel (min-plus product/update, panel update, Floyd-Warshall)
+// takes its configuration as an explicit `const KernelTuning&` argument:
+// the semiring it evaluates, the SIMD instruction set, the tile geometry and
+// the host thread pool it may fan out on. One solve resolves one config
+// (apsp::RunSolve builds it from the cluster's kernel settings and the
+// request's semiring) and hands it down through sparklet::TaskContext; pool
+// workers read only the config they were handed. There is no process-wide
+// kernel state, so solves running concurrently on different threads cannot
+// observe each other's algebra, ISA or tiles.
 //
-//   kNaive         — the scalar triple loops the seed shipped with; kept as
-//                    a measured baseline and as the dispatch target when a
-//                    caller wants zero tiling machinery.
-//   kTiled         — cache-tiled, fused, vectorizable loops (the default).
-//   kTiledParallel — kTiled with independent block updates scheduled as
-//                    stealable tasks on the host ThreadPool's work-stealing
-//                    deques (row stripes nest through the same scheduler).
-//                    Only host wall time changes: virtual cluster accounting
-//                    always charges the calibrated cost model, never host
-//                    threads.
-//
-// The active variant and its tuning parameters are process-global: the
-// engine executes all record processing from the driver thread (see
-// sparklet/rdd.h), so a plain global is race-free as long as one solve runs
-// at a time and selects the variant before it starts — which is what
-// apsp::RunSolve, the attempt loop every APSP and KSSP solve goes through,
-// does from sparklet::ClusterConfig::kernel_variant.
+// The pool is the one threading knob: nullptr (the default) runs every
+// kernel inline on the calling thread ("tiled"); a pool fans row stripes,
+// blocked-FW tile updates and building-block batches out as stealable tasks
+// ("tiled_parallel"). Only host wall time changes: virtual cluster
+// accounting always charges the calibrated cost model, never host threads.
 #pragma once
 
 #include <cstdint>
@@ -32,12 +27,6 @@ class ThreadPool;
 }  // namespace apspark
 
 namespace apspark::linalg {
-
-enum class KernelVariant {
-  kNaive,
-  kTiled,
-  kTiledParallel,
-};
 
 /// Instruction set the tiled/panel micro-kernels dispatch to at run time.
 ///
@@ -76,7 +65,7 @@ std::optional<SimdIsa> ParseSimdIsa(std::string_view name);
 /// The semiring the engine's kernels evaluate (see linalg/semiring.h for the
 /// algebraic definitions). One tiled/work-stealing/zero-copy engine serves
 /// all four: the kernels are templates over the semiring struct, and the
-/// block-level entry points dispatch on this registry id.
+/// block-level entry points dispatch on KernelTuning::semiring.
 enum class SemiringId {
   kMinPlus,   // (min, +): APSP path lengths — the paper's default
   kBoolean,   // (or, and): transitive closure / reachability
@@ -84,20 +73,22 @@ enum class SemiringId {
   kMaxTimes,  // (max, x): widest / most-reliable paths over [0, 1]
 };
 
-/// Tiling / parallelism parameters of the tiled kernels. Defaults target a
-/// 48 KiB L1d + 2 MiB L2 AVX machine; all values are safe for any shape
-/// (ragged edges are handled by the kernels).
+/// The immutable configuration one kernel call runs under: algebra, ISA,
+/// tiling and threading. Defaults target a 48 KiB L1d + 2 MiB L2 AVX
+/// machine; all values are safe for any shape (ragged edges are handled by
+/// the kernels).
 struct KernelTuning {
-  KernelVariant variant = KernelVariant::kTiled;
-  /// Semiring the kernels evaluate. Part of the tuning so ScopedKernelVariant
-  /// / ScopedSemiring restore it together with the variant: one run's algebra
-  /// cannot leak into unrelated work in the same process.
+  /// Semiring the kernels evaluate. A solve takes it from
+  /// apsp::ApspOptions::semiring, whatever the cluster's config carries.
   SemiringId semiring = SemiringId::kMinPlus;
   /// Micro-kernel instruction set. Defaults to the CPUID-detected best (or
   /// APSPARK_FORCE_ISA); clamped per call by ResolveSimdIsa, so carrying
   /// kAvx512 on an AVX2 host silently runs the AVX2 backend. All ISAs are
   /// bitwise-identical on every semiring — this knob trades speed only.
   SimdIsa isa = DefaultSimdIsa();
+  /// Host pool the kernels fan out on; nullptr runs them inline. Not owned:
+  /// the pool must outlive every kernel call made with this config.
+  ThreadPool* pool = nullptr;
 
   /// Columns of B/C processed per tile: one C-row segment plus one B-row
   /// segment of this width must stay L1-resident (2 x 8 KiB at 1024).
@@ -133,92 +124,54 @@ struct KernelTuning {
   /// tile_j/tile_k/fw_block from them, optionally confirms the choice with a
   /// short seeded race among neighbouring geometries (every candidate is
   /// verified bitwise against the scalar oracle before it may win), and
-  /// memoizes the result per seed. Deterministic given a seed when the race
-  /// is disabled; with the race, the memo pins the first outcome for the
-  /// rest of the process. variant/semiring/isa of the current tuning are
-  /// preserved. Callers publish it via the existing SetKernelTuning path.
-  static KernelTuning AutoTune(std::uint64_t seed = 42,
+  /// memoizes the geometry per seed. Deterministic given a seed when the
+  /// race is disabled; with the race, the memo pins the first outcome for
+  /// the rest of the process. Every field but the geometry is copied from
+  /// `base`, and the race runs under base's ISA.
+  static KernelTuning AutoTune(const KernelTuning& base,
+                               std::uint64_t seed = 42,
                                bool confirm_race = true);
 };
-
-const KernelTuning& GetKernelTuning() noexcept;
-void SetKernelTuning(const KernelTuning& tuning) noexcept;
-
-/// Convenience: swaps only the variant, keeping the tuning parameters.
-void SetKernelVariant(KernelVariant variant) noexcept;
-KernelVariant GetKernelVariant() noexcept;
-
-/// Pool used by kTiledParallel. Passing nullptr restores the lazily created
-/// default pool (hardware concurrency). The pool must outlive any kernel
-/// calls that use it.
-void SetKernelThreadPool(ThreadPool* pool) noexcept;
-ThreadPool& KernelThreadPool();
-
-/// Convenience: swaps only the semiring, keeping the tuning parameters.
-void SetActiveSemiring(SemiringId semiring) noexcept;
-SemiringId GetActiveSemiring() noexcept;
-
-const char* KernelVariantName(KernelVariant variant) noexcept;
-std::optional<KernelVariant> ParseKernelVariant(std::string_view name);
 
 const char* SemiringName(SemiringId semiring) noexcept;
 std::optional<SemiringId> ParseSemiring(std::string_view name);
 
-/// RAII: pins a kernel variant for a scope, restoring the full previous
-/// tuning on destruction. Used by solvers, benchmarks, and tests so one
-/// caller's selection cannot leak into unrelated work in the same process.
-class ScopedKernelVariant {
- public:
-  explicit ScopedKernelVariant(KernelVariant variant)
-      : saved_(GetKernelTuning()) {
-    SetKernelVariant(variant);
-  }
-  ~ScopedKernelVariant() { SetKernelTuning(saved_); }
-  ScopedKernelVariant(const ScopedKernelVariant&) = delete;
-  ScopedKernelVariant& operator=(const ScopedKernelVariant&) = delete;
+// --- End-to-end benchmark surface -----------------------------------------
+//
+// The end-to-end benchmark (perfbench/) probes single kernels outside any
+// solve and names these; they serve it alone. Nothing in the library or the
+// CLI calls them, so no solve ever reads them. They go with the next change
+// to the benchmark.
 
- private:
-  KernelTuning saved_;
-};
+/// The calling thread's default config (a default-constructed KernelTuning
+/// unless a ScopedSimdIsa on this thread changed its ISA). The config-less
+/// overloads of MinPlusAccumulateRaw / MinPlusUpdateRect / FloydWarshallRaw
+/// read it.
+const KernelTuning& GetKernelTuning() noexcept;
 
-/// RAII: pins the active semiring for a scope, restoring the full previous
-/// tuning on destruction — the semiring twin of ScopedKernelVariant.
-class ScopedSemiring {
- public:
-  explicit ScopedSemiring(SemiringId semiring) : saved_(GetKernelTuning()) {
-    SetActiveSemiring(semiring);
-  }
-  ~ScopedSemiring() { SetKernelTuning(saved_); }
-  ScopedSemiring(const ScopedSemiring&) = delete;
-  ScopedSemiring& operator=(const ScopedSemiring&) = delete;
+/// Lazily created pool of hardware-concurrency workers; perfbench reports
+/// its width.
+ThreadPool& KernelThreadPool();
 
- private:
-  KernelTuning saved_;
-};
-
-/// RAII: pins the micro-kernel ISA for a scope, restoring the full previous
-/// tuning on destruction. Benches and the bitwise-equivalence suites use it
-/// to race/compare forced-scalar against forced-SIMD dispatch.
+/// RAII: pins the ISA of the calling thread's default config for a scope.
+/// Other threads' defaults are untouched.
 class ScopedSimdIsa {
  public:
-  explicit ScopedSimdIsa(SimdIsa isa) : saved_(GetKernelTuning()) {
-    KernelTuning tuning = saved_;
-    tuning.isa = isa;
-    SetKernelTuning(tuning);
-  }
-  ~ScopedSimdIsa() { SetKernelTuning(saved_); }
+  explicit ScopedSimdIsa(SimdIsa isa);
+  ~ScopedSimdIsa();
   ScopedSimdIsa(const ScopedSimdIsa&) = delete;
   ScopedSimdIsa& operator=(const ScopedSimdIsa&) = delete;
 
  private:
-  KernelTuning saved_;
+  SimdIsa saved_;
 };
 
 /// One-line human-readable rendering of a tuning, e.g.
-///   "variant=tiled semiring=minplus isa=avx512 (requested avx512, host best
-///    avx512) tiles j=1024 k=128 fw=128 [auto-tuned]"
-/// — what `apspark_cli plan` and the solve banner print so logs record the
-/// geometry and ISA that actually ran.
+///   "tiled isa=avx512 (requested avx512, host best avx512) tiles j=1024
+///    k=128 fw=128 [auto-tuned]"
+/// ("tiled_parallel (N threads)" when the config has a pool) — what
+/// `apspark_cli plan` and the solve banner print so logs record the
+/// geometry, ISA and threading that actually ran.
 std::string DescribeKernelTuning(const KernelTuning& tuning);
 
 }  // namespace apspark::linalg

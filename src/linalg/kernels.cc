@@ -16,10 +16,10 @@ namespace apspark::linalg {
 namespace {
 
 // Always-on kernel-invocation accounting: one sharded-counter increment per
-// block-level kernel call, labelled with the resolved ISA, active semiring,
-// and tile geometry that actually ran. The registry lookup is memoized in a
-// thread-local map, so the steady-state cost is a hash probe plus a relaxed
-// atomic add — noise next to any block's O(b^3) work.
+// block-level kernel call, labelled with the resolved ISA, the config's
+// semiring and the tile geometry that actually ran. The registry lookup is
+// memoized in a thread-local map, so the steady-state cost is a hash probe
+// plus a relaxed atomic add — noise next to any block's O(b^3) work.
 enum KernelKind {
   kKernelAccumulate = 0,  // square-tiled accumulate (C ⊕= A ⊗ B)
   kKernelPanel = 1,       // narrow-panel rect micro-kernel
@@ -73,35 +73,25 @@ void CheckUniformRepresentation(bool a_packed, bool b_packed) {
   }
 }
 
-void CheckPackedSemiring() {
-  if (GetActiveSemiring() != SemiringId::kBoolean) {
+void CheckPackedSemiring(const KernelTuning& kernel) {
+  if (kernel.semiring != SemiringId::kBoolean) {
     throw std::invalid_argument(
         "kernel: bit-packed blocks require the boolean semiring");
   }
-}
-
-/// Number of row stripes to fan a kernel of `m` x `n` output out over, given
-/// the tuning thresholds. 1 means "stay sequential".
-std::int64_t ParallelStripes(std::int64_t m, std::int64_t n,
-                             const KernelTuning& tuning) {
-  if (m * n < tuning.parallel_min_elems) return 1;
-  const std::int64_t by_grain =
-      (m + tuning.parallel_grain_rows - 1) / tuning.parallel_grain_rows;
-  const std::int64_t by_threads =
-      static_cast<std::int64_t>(KernelThreadPool().num_threads());
-  return std::max<std::int64_t>(1, std::min(by_grain, by_threads));
 }
 
 // ---------------------------------------------------------------------------
 // Semiring-templated scalar/tiled workers
 // ---------------------------------------------------------------------------
 //
-// Every worker is a template over a semiring struct S (linalg/semiring.h).
-// The tiled variants reorder only the (+) reduction — candidates
-// S::Multiply(a_ik, b_kj) are computed identically, Add is a keep-on-tie
-// selection applied in ascending-k order — so every variant produces
-// bitwise-identical results under every semiring, and every instantiation
-// locks against the scalar oracle in semiring.h.
+// Every worker is a template over a semiring struct S (linalg/semiring.h)
+// and takes the caller's config; the lambdas that fan out on its pool
+// capture that config, so no worker reads shared kernel state. The tiled
+// kernels reorder only the (+) reduction — candidates S::Multiply(a_ik,
+// b_kj) are computed identically, Add is a keep-on-tie selection applied in
+// ascending-k order — so every config produces bitwise-identical results
+// under every semiring, and every instantiation locks against the scalar
+// oracle in semiring.h.
 
 /// Fixed scalar k-i-j Floyd-Warshall closure on a raw tile (textbook loop).
 template <typename S>
@@ -339,28 +329,43 @@ SimdIsa ChooseIsa(const KernelTuning& tuning, const double* a, std::int64_t m,
   return isa;
 }
 
+/// Number of row stripes to fan a kernel of `m` x `n` output out over on
+/// tuning.pool. 1 means "stay sequential": no pool, an output below the
+/// tuning threshold, or an operand overlapping the output — striping is
+/// only safe when no stripe's C rows are another stripe's A/B input (the
+/// in-place Kleene and phase updates alias them).
+std::int64_t ParallelStripes(std::int64_t m, std::int64_t n, std::int64_t k,
+                             const double* a, std::int64_t lda,
+                             const double* b, std::int64_t ldb,
+                             const double* c, std::int64_t ldc,
+                             const KernelTuning& tuning) {
+  if (tuning.pool == nullptr || m * n < tuning.parallel_min_elems) return 1;
+  if (OverlapsOutput(a, m, lda, k, c, m, ldc, n) ||
+      OverlapsOutput(b, k, ldb, n, c, m, ldc, n)) {
+    return 1;
+  }
+  const std::int64_t by_grain =
+      (m + tuning.parallel_grain_rows - 1) / tuning.parallel_grain_rows;
+  const std::int64_t by_threads =
+      static_cast<std::int64_t>(tuning.pool->num_threads());
+  return std::max<std::int64_t>(1, std::min(by_grain, by_threads));
+}
+
 template <typename S>
 void AccumulateRawTiled(std::int64_t m, std::int64_t n, std::int64_t k,
                         const double* a, std::int64_t lda, const double* b,
                         std::int64_t ldb, double* c, std::int64_t ldc,
-                        bool parallel) {
-  const KernelTuning tuning = GetKernelTuning();
-  // Row striping is only safe when no stripe's C rows are another stripe's
-  // A/B input (the in-place Kleene and phase updates alias them); overlap
-  // forces the sequential path.
-  if (parallel && (OverlapsOutput(a, m, lda, k, c, m, ldc, n) ||
-                   OverlapsOutput(b, k, ldb, n, c, m, ldc, n))) {
-    parallel = false;
-  }
+                        const KernelTuning& tuning) {
   const SimdIsa isa = ChooseIsa<S>(tuning, a, m, lda, k, b, ldb, c, ldc, n);
   KernelCounter(kKernelAccumulate, isa, tuning).Add();
-  const std::int64_t stripes = parallel ? ParallelStripes(m, n, tuning) : 1;
+  const std::int64_t stripes =
+      ParallelStripes(m, n, k, a, lda, b, ldb, c, ldc, tuning);
   if (stripes <= 1) {
     TiledRows<S>(0, m, n, k, a, lda, b, ldb, c, ldc, tuning, isa);
     return;
   }
   const std::int64_t rows_per_stripe = (m + stripes - 1) / stripes;
-  KernelThreadPool().ParallelFor(
+  tuning.pool->ParallelFor(
       static_cast<std::size_t>(stripes), [&](std::size_t s) {
         const std::int64_t i0 =
             static_cast<std::int64_t>(s) * rows_per_stripe;
@@ -375,27 +380,23 @@ template <typename S>
 void PanelRawTiled(std::int64_t m, std::int64_t n, std::int64_t k,
                    const double* a, std::int64_t lda, const double* b,
                    std::int64_t ldb, double* c, std::int64_t ldc,
-                   bool parallel) {
+                   const KernelTuning& tuning) {
   if (n > kPanelNarrowWidth) {
     // Wide panel: the square-tiled kernel's cache blocking is the better
     // shape (and stays bitwise-equal — same ascending-k candidate order).
-    AccumulateRawTiled<S>(m, n, k, a, lda, b, ldb, c, ldc, parallel);
+    AccumulateRawTiled<S>(m, n, k, a, lda, b, ldb, c, ldc, tuning);
     return;
   }
-  if (parallel && (OverlapsOutput(a, m, lda, k, c, m, ldc, n) ||
-                   OverlapsOutput(b, k, ldb, n, c, m, ldc, n))) {
-    parallel = false;
-  }
-  const KernelTuning tuning = GetKernelTuning();
   const SimdIsa isa = ChooseIsa<S>(tuning, a, m, lda, k, b, ldb, c, ldc, n);
   KernelCounter(kKernelPanel, isa, tuning).Add();
-  const std::int64_t stripes = parallel ? ParallelStripes(m, n, tuning) : 1;
+  const std::int64_t stripes =
+      ParallelStripes(m, n, k, a, lda, b, ldb, c, ldc, tuning);
   if (stripes <= 1) {
     PanelRows<S>(0, m, n, k, a, lda, b, ldb, c, ldc, isa);
     return;
   }
   const std::int64_t rows_per_stripe = (m + stripes - 1) / stripes;
-  KernelThreadPool().ParallelFor(
+  tuning.pool->ParallelFor(
       static_cast<std::size_t>(stripes), [&](std::size_t s) {
         const std::int64_t i0 =
             static_cast<std::int64_t>(s) * rows_per_stripe;
@@ -408,24 +409,22 @@ void PanelRawTiled(std::int64_t m, std::int64_t n, std::int64_t k,
 
 /// Blocked 3-phase Floyd-Warshall closure over a raw n x n matrix with
 /// leading dimension lda. Phase-2/phase-3 tile updates reuse the accumulate
-/// micro-kernel; with `parallel` they fan out on the host pool (tiles write
-/// disjoint output, so the phases are race-free).
+/// micro-kernel, each inline; with a pool in the config the updates fan out
+/// on it (tiles write disjoint output, so the phases are race-free).
 template <typename S>
 void BlockedFloydWarshallRaw(std::int64_t n, double* a, std::int64_t lda,
-                             std::int64_t block, bool tiled, bool parallel) {
+                             std::int64_t block, const KernelTuning& tuning) {
   const std::int64_t q = (n + block - 1) / block;
   auto tile = [&](std::int64_t bi, std::int64_t bj) {
     return a + bi * block * lda + bj * block;
   };
   auto dim = [&](std::int64_t bi) { return std::min(block, n - bi * block); };
+  KernelTuning inline_tuning = tuning;
+  inline_tuning.pool = nullptr;
   auto update = [&](std::int64_t m2, std::int64_t n2, std::int64_t k2,
                     const double* ta, const double* tb, double* tc) {
-    if (tiled) {
-      AccumulateRawTiled<S>(m2, n2, k2, ta, lda, tb, lda, tc, lda,
-                            /*parallel=*/false);
-    } else {
-      AccumulateRawNaive<S>(m2, n2, k2, ta, lda, tb, lda, tc, lda);
-    }
+    AccumulateRawTiled<S>(m2, n2, k2, ta, lda, tb, lda, tc, lda,
+                          inline_tuning);
   };
   for (std::int64_t t = 0; t < q; ++t) {
     const std::int64_t bt = dim(t);
@@ -449,13 +448,13 @@ void BlockedFloydWarshallRaw(std::int64_t n, double* a, std::int64_t lda,
         update(bi, dim(j), bt, tile(i, t), tile(t, j), tile(i, j));
       }
     };
-    if (parallel && q > 1) {
+    if (tuning.pool != nullptr && q > 1) {
       // Every independent block update of the pivot step is its own
       // stealable task: 2(q-1) row/column panels in phase 2, (q-1)^2 outer
       // blocks in phase 3 — not just q row-level stripes. Small-block
       // layouts (q large, b small) expose q^2 units of work to the pool
       // instead of q, which is what lets them scale.
-      ThreadPool& pool = KernelThreadPool();
+      ThreadPool& pool = *tuning.pool;
       pool.ParallelForTasks(
           static_cast<std::size_t>(2 * q), [&](std::size_t s) {
             const std::int64_t j = static_cast<std::int64_t>(s) / 2;
@@ -492,8 +491,8 @@ void BlockedFloydWarshallRaw(std::int64_t n, double* a, std::int64_t lda,
 // bits of A's row — exactly the scalar kernel's "skip the annihilator"
 // guard, 64 lanes at a time. Or is idempotent and commutative, so candidate
 // order cannot matter: equivalence with the dense boolean path is exact by
-// construction, which is why one sequential implementation serves all
-// registry variants.
+// construction, which is why one sequential implementation serves every
+// config.
 
 /// c |= a (or,and) b over packed blocks.
 void BitAccumulate(const DenseBlock& a, const DenseBlock& b, DenseBlock& c) {
@@ -562,70 +561,44 @@ void BitOuterOrUpdate(DenseBlock& a, const DenseBlock& u,
 void MinPlusAccumulateRawNaive(std::int64_t m, std::int64_t n, std::int64_t k,
                                const double* a, std::int64_t lda,
                                const double* b, std::int64_t ldb, double* c,
-                               std::int64_t ldc) {
-  WithSemiring(GetActiveSemiring(), [&](auto s) {
+                               std::int64_t ldc, SemiringId semiring) {
+  WithSemiring(semiring, [&](auto s) {
     using S = decltype(s);
     AccumulateRawNaive<S>(m, n, k, a, lda, b, ldb, c, ldc);
   });
 }
 
-void MinPlusAccumulateRawTiled(std::int64_t m, std::int64_t n, std::int64_t k,
-                               const double* a, std::int64_t lda,
-                               const double* b, std::int64_t ldb, double* c,
-                               std::int64_t ldc, bool parallel) {
-  WithSemiring(GetActiveSemiring(), [&](auto s) {
-    using S = decltype(s);
-    AccumulateRawTiled<S>(m, n, k, a, lda, b, ldb, c, ldc, parallel);
-  });
-}
-
-void MinPlusPanelRawTiled(std::int64_t m, std::int64_t n, std::int64_t k,
-                          const double* a, std::int64_t lda, const double* b,
-                          std::int64_t ldb, double* c, std::int64_t ldc,
-                          bool parallel) {
-  WithSemiring(GetActiveSemiring(), [&](auto s) {
-    using S = decltype(s);
-    PanelRawTiled<S>(m, n, k, a, lda, b, ldb, c, ldc, parallel);
-  });
-}
-
 void MinPlusAccumulateRaw(std::int64_t m, std::int64_t n, std::int64_t k,
                           const double* a, std::int64_t lda, const double* b,
-                          std::int64_t ldb, double* c, std::int64_t ldc) {
-  switch (GetKernelVariant()) {
-    case KernelVariant::kNaive:
-      MinPlusAccumulateRawNaive(m, n, k, a, lda, b, ldb, c, ldc);
-      return;
-    case KernelVariant::kTiled:
-      MinPlusAccumulateRawTiled(m, n, k, a, lda, b, ldb, c, ldc,
-                                /*parallel=*/false);
-      return;
-    case KernelVariant::kTiledParallel:
-      MinPlusAccumulateRawTiled(m, n, k, a, lda, b, ldb, c, ldc,
-                                /*parallel=*/true);
-      return;
-  }
+                          std::int64_t ldb, double* c, std::int64_t ldc,
+                          const KernelTuning& kernel) {
+  WithSemiring(kernel.semiring, [&](auto s) {
+    using S = decltype(s);
+    AccumulateRawTiled<S>(m, n, k, a, lda, b, ldb, c, ldc, kernel);
+  });
 }
 
-DenseBlock MinPlusProduct(const DenseBlock& a, const DenseBlock& b) {
+DenseBlock MinPlusProduct(const DenseBlock& a, const DenseBlock& b,
+                          const KernelTuning& kernel) {
   CheckProductShapes(a, b);
   if (a.is_phantom() || b.is_phantom()) {
     return PhantomLike(a.rows(), b.cols(), a.is_packed() && b.is_packed());
   }
   CheckUniformRepresentation(a.is_packed(), b.is_packed());
   if (a.is_packed()) {
-    CheckPackedSemiring();
+    CheckPackedSemiring(kernel);
     DenseBlock c = DenseBlock::PackedBoolean(a.rows(), b.cols());
     BitAccumulate(a, b, c);
     return c;
   }
-  DenseBlock c(a.rows(), b.cols(), SemiringZeroValue(GetActiveSemiring()));
+  DenseBlock c(a.rows(), b.cols(), SemiringZeroValue(kernel.semiring));
   MinPlusAccumulateRaw(a.rows(), b.cols(), a.cols(), a.data(), a.cols(),
-                       b.data(), b.cols(), c.mutable_data(), c.cols());
+                       b.data(), b.cols(), c.mutable_data(), c.cols(), kernel);
   return c;
 }
 
-void MinPlusUpdate(const DenseBlock& a, const DenseBlock& b, DenseBlock& c) {
+void MinPlusUpdate(const DenseBlock& a, const DenseBlock& b, DenseBlock& c,
+                   const KernelTuning& kernel) {
   CheckProductShapes(a, b);
   if (c.rows() != a.rows() || c.cols() != b.cols()) {
     throw std::invalid_argument("min-plus update: output shape mismatch");
@@ -638,16 +611,16 @@ void MinPlusUpdate(const DenseBlock& a, const DenseBlock& b, DenseBlock& c) {
   CheckUniformRepresentation(a.is_packed(), b.is_packed());
   CheckUniformRepresentation(a.is_packed(), c.is_packed());
   if (a.is_packed()) {
-    CheckPackedSemiring();
+    CheckPackedSemiring(kernel);
     BitAccumulate(a, b, c);
     return;
   }
   MinPlusAccumulateRaw(a.rows(), b.cols(), a.cols(), a.data(), a.cols(),
-                       b.data(), b.cols(), c.mutable_data(), c.cols());
+                       b.data(), b.cols(), c.mutable_data(), c.cols(), kernel);
 }
 
-void MinPlusUpdateRect(const DenseBlock& a, const DenseBlock& p,
-                       DenseBlock& c) {
+void MinPlusUpdateRect(const DenseBlock& a, const DenseBlock& p, DenseBlock& c,
+                       const KernelTuning& kernel) {
   CheckProductShapes(a, p);
   if (c.rows() != a.rows() || c.cols() != p.cols()) {
     throw std::invalid_argument("min-plus rect update: output shape mismatch");
@@ -660,30 +633,19 @@ void MinPlusUpdateRect(const DenseBlock& a, const DenseBlock& p,
   CheckUniformRepresentation(a.is_packed(), p.is_packed());
   CheckUniformRepresentation(a.is_packed(), c.is_packed());
   if (a.is_packed()) {
-    CheckPackedSemiring();
+    CheckPackedSemiring(kernel);
     BitAccumulate(a, p, c);
     return;
   }
-  switch (GetKernelVariant()) {
-    case KernelVariant::kNaive:
-      MinPlusAccumulateRawNaive(a.rows(), p.cols(), a.cols(), a.data(),
-                                a.cols(), p.data(), p.cols(),
-                                c.mutable_data(), c.cols());
-      return;
-    case KernelVariant::kTiled:
-      MinPlusPanelRawTiled(a.rows(), p.cols(), a.cols(), a.data(), a.cols(),
-                           p.data(), p.cols(), c.mutable_data(), c.cols(),
-                           /*parallel=*/false);
-      return;
-    case KernelVariant::kTiledParallel:
-      MinPlusPanelRawTiled(a.rows(), p.cols(), a.cols(), a.data(), a.cols(),
-                           p.data(), p.cols(), c.mutable_data(), c.cols(),
-                           /*parallel=*/true);
-      return;
-  }
+  WithSemiring(kernel.semiring, [&](auto s) {
+    using S = decltype(s);
+    PanelRawTiled<S>(a.rows(), p.cols(), a.cols(), a.data(), a.cols(),
+                     p.data(), p.cols(), c.mutable_data(), c.cols(), kernel);
+  });
 }
 
-DenseBlock ElementMin(const DenseBlock& a, const DenseBlock& b) {
+DenseBlock ElementMin(const DenseBlock& a, const DenseBlock& b,
+                      const KernelTuning& kernel) {
   if (a.rows() != b.rows() || a.cols() != b.cols()) {
     throw std::invalid_argument("element-min: shape mismatch");
   }
@@ -691,11 +653,12 @@ DenseBlock ElementMin(const DenseBlock& a, const DenseBlock& b) {
     return PhantomLike(a.rows(), a.cols(), a.is_packed() && b.is_packed());
   }
   DenseBlock out = a;
-  ElementMinInPlace(out, b);
+  ElementMinInPlace(out, b, kernel);
   return out;
 }
 
-void ElementMinInPlace(DenseBlock& a, const DenseBlock& b) {
+void ElementMinInPlace(DenseBlock& a, const DenseBlock& b,
+                       const KernelTuning& kernel) {
   if (a.rows() != b.rows() || a.cols() != b.cols()) {
     throw std::invalid_argument("element-min: shape mismatch");
   }
@@ -705,11 +668,11 @@ void ElementMinInPlace(DenseBlock& a, const DenseBlock& b) {
   }
   CheckUniformRepresentation(a.is_packed(), b.is_packed());
   if (a.is_packed()) {
-    CheckPackedSemiring();
+    CheckPackedSemiring(kernel);
     BitElementOrInPlace(a, b);
     return;
   }
-  WithSemiring(GetActiveSemiring(), [&](auto s) {
+  WithSemiring(kernel.semiring, [&](auto s) {
     using S = decltype(s);
     double* pa = a.mutable_data();
     const double* pb = b.data();
@@ -718,40 +681,30 @@ void ElementMinInPlace(DenseBlock& a, const DenseBlock& b) {
   });
 }
 
-void FloydWarshallRaw(std::int64_t n, double* a, std::int64_t lda) {
-  const KernelTuning tuning = GetKernelTuning();
-  KernelCounter(kKernelClosure, ResolveSimdIsa(tuning.isa), tuning).Add();
-  WithSemiring(tuning.semiring, [&](auto s) {
+void FloydWarshallRaw(std::int64_t n, double* a, std::int64_t lda,
+                      const KernelTuning& kernel) {
+  KernelCounter(kKernelClosure, ResolveSimdIsa(kernel.isa), kernel).Add();
+  WithSemiring(kernel.semiring, [&](auto s) {
     using S = decltype(s);
-    switch (tuning.variant) {
-      case KernelVariant::kNaive:
-        FloydWarshallRawScalar<S>(n, a, lda);
-        return;
-      case KernelVariant::kTiled:
-      case KernelVariant::kTiledParallel:
-        if (n <= tuning.fw_block) {
-          FloydWarshallRawScalar<S>(n, a, lda);
-          return;
-        }
-        BlockedFloydWarshallRaw<S>(
-            n, a, lda, tuning.fw_block, /*tiled=*/true,
-            tuning.variant == KernelVariant::kTiledParallel);
-        return;
+    if (n <= kernel.fw_block) {
+      FloydWarshallRawScalar<S>(n, a, lda);
+      return;
     }
+    BlockedFloydWarshallRaw<S>(n, a, lda, kernel.fw_block, kernel);
   });
 }
 
-void FloydWarshallInPlace(DenseBlock& a) {
+void FloydWarshallInPlace(DenseBlock& a, const KernelTuning& kernel) {
   if (a.rows() != a.cols()) {
     throw std::invalid_argument("Floyd-Warshall: block must be square");
   }
   if (a.is_phantom()) return;  // phantom stays phantom, shape unchanged
   if (a.is_packed()) {
-    CheckPackedSemiring();
+    CheckPackedSemiring(kernel);
     BitClosureRaw(a);
     return;
   }
-  FloydWarshallRaw(a.rows(), a.mutable_data(), a.cols());
+  FloydWarshallRaw(a.rows(), a.mutable_data(), a.cols(), kernel);
 }
 
 void ReferenceFloydWarshall(DenseBlock& a) {
@@ -763,8 +716,8 @@ void ReferenceFloydWarshall(DenseBlock& a) {
                                           a.cols());
 }
 
-void OuterSumMinUpdate(DenseBlock& a, const DenseBlock& u,
-                       const DenseBlock& v) {
+void OuterSumMinUpdate(DenseBlock& a, const DenseBlock& u, const DenseBlock& v,
+                       const KernelTuning& kernel) {
   if (u.rows() != a.rows() || v.rows() != a.cols() || u.cols() != 1 ||
       v.cols() != 1) {
     throw std::invalid_argument("outer-sum update: vector shape mismatch");
@@ -777,11 +730,11 @@ void OuterSumMinUpdate(DenseBlock& a, const DenseBlock& u,
   CheckUniformRepresentation(a.is_packed(), u.is_packed());
   CheckUniformRepresentation(a.is_packed(), v.is_packed());
   if (a.is_packed()) {
-    CheckPackedSemiring();
+    CheckPackedSemiring(kernel);
     BitOuterOrUpdate(a, u, v);
     return;
   }
-  WithSemiring(GetActiveSemiring(), [&](auto s) {
+  WithSemiring(kernel.semiring, [&](auto s) {
     using S = decltype(s);
     const double* pu = u.data();
     const double* pv = v.data();
@@ -796,7 +749,8 @@ void OuterSumMinUpdate(DenseBlock& a, const DenseBlock& u,
   });
 }
 
-void BlockedFloydWarshall(DenseBlock& a, std::int64_t block_size) {
+void BlockedFloydWarshall(DenseBlock& a, std::int64_t block_size,
+                          const KernelTuning& kernel) {
   if (a.rows() != a.cols()) {
     throw std::invalid_argument("blocked Floyd-Warshall: matrix must be square");
   }
@@ -807,16 +761,14 @@ void BlockedFloydWarshall(DenseBlock& a, std::int64_t block_size) {
   if (a.is_packed()) {
     // The word-parallel closure is already the fast shape for packed
     // reachability; block decomposition would only re-tile word-ors.
-    CheckPackedSemiring();
+    CheckPackedSemiring(kernel);
     BitClosureRaw(a);
     return;
   }
-  const KernelVariant variant = GetKernelVariant();
-  WithSemiring(GetActiveSemiring(), [&](auto s) {
+  WithSemiring(kernel.semiring, [&](auto s) {
     using S = decltype(s);
     BlockedFloydWarshallRaw<S>(a.rows(), a.mutable_data(), a.cols(),
-                               block_size, variant != KernelVariant::kNaive,
-                               variant == KernelVariant::kTiledParallel);
+                               block_size, kernel);
   });
 }
 

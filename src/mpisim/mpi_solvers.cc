@@ -60,7 +60,7 @@ MpiRunResult Fw2dMpiSolver::Solve(const DenseBlock& adjacency, int p) const {
   // The real algorithm: mathematically the 2-D decomposition performs the
   // same k-step relaxations as sequential Floyd-Warshall; the decomposition
   // changes *where* work runs, which the cost model accounts for.
-  linalg::FloydWarshallInPlace(a);
+  linalg::FloydWarshallInPlace(a, linalg::KernelTuning{});
   result.distances = std::move(a);
   result.metrics = ChargeRun(adjacency.rows(), p);
   result.seconds = result.metrics.total_seconds();
@@ -86,10 +86,10 @@ namespace {
 /// of an n x n matrix with leading dimension ld, using scratch views into
 /// the same matrix (the 2x2 block scheme keeps everything in place).
 void KleeneRecurse(double* base, std::int64_t ld, std::int64_t r0,
-                   std::int64_t m) {
+                   std::int64_t m, const linalg::KernelTuning& kernel) {
   constexpr std::int64_t kBaseCase = 32;
   if (m <= kBaseCase) {
-    linalg::FloydWarshallRaw(m, base + r0 * ld + r0, ld);
+    linalg::FloydWarshallRaw(m, base + r0 * ld + r0, ld, kernel);
     return;
   }
   const std::int64_t h = m / 2;       // first half
@@ -100,19 +100,25 @@ void KleeneRecurse(double* base, std::int64_t ld, std::int64_t r0,
   double* a22 = a21 + h;
 
   // 1. Close A11.
-  KleeneRecurse(base, ld, r0, h);
+  KleeneRecurse(base, ld, r0, h, kernel);
   // 2. A12 = A11* (min,+) A12 ; A21 = A21 (min,+) A11*.
-  linalg::MinPlusAccumulateRaw(h, rest, h, a11, ld, a12, ld, a12, ld);
-  linalg::MinPlusAccumulateRaw(rest, h, h, a21, ld, a11, ld, a21, ld);
+  linalg::MinPlusAccumulateRaw(h, rest, h, a11, ld, a12, ld, a12, ld,
+                               kernel);
+  linalg::MinPlusAccumulateRaw(rest, h, h, a21, ld, a11, ld, a21, ld,
+                               kernel);
   // 3. A22 = min(A22, A21 (min,+) A12).
-  linalg::MinPlusAccumulateRaw(rest, rest, h, a21, ld, a12, ld, a22, ld);
+  linalg::MinPlusAccumulateRaw(rest, rest, h, a21, ld, a12, ld, a22, ld,
+                               kernel);
   // 4. Close A22.
-  KleeneRecurse(base, ld, r0 + h, rest);
+  KleeneRecurse(base, ld, r0 + h, rest, kernel);
   // 5. A21 = A22* (min,+) A21 ; A12 = A12 (min,+) A22*.
-  linalg::MinPlusAccumulateRaw(rest, h, rest, a22, ld, a21, ld, a21, ld);
-  linalg::MinPlusAccumulateRaw(h, rest, rest, a12, ld, a22, ld, a12, ld);
+  linalg::MinPlusAccumulateRaw(rest, h, rest, a22, ld, a21, ld, a21, ld,
+                               kernel);
+  linalg::MinPlusAccumulateRaw(h, rest, rest, a12, ld, a22, ld, a12, ld,
+                               kernel);
   // 6. A11 = min(A11, A12 (min,+) A21).
-  linalg::MinPlusAccumulateRaw(h, h, rest, a12, ld, a21, ld, a11, ld);
+  linalg::MinPlusAccumulateRaw(h, h, rest, a12, ld, a21, ld, a11, ld,
+                               kernel);
 }
 
 }  // namespace
@@ -122,7 +128,8 @@ void DcMpiSolver::KleeneApsp(DenseBlock& a) {
     throw std::invalid_argument("Kleene APSP: matrix must be square");
   }
   if (a.is_phantom()) return;
-  KleeneRecurse(a.mutable_data(), a.cols(), 0, a.rows());
+  KleeneRecurse(a.mutable_data(), a.cols(), 0, a.rows(),
+                linalg::KernelTuning{});
 }
 
 MpiMetrics DcMpiSolver::ChargeRun(std::int64_t n, int p) const {

@@ -55,7 +55,7 @@ BlockPtr MinVectors(const BlockPtr& a, const BlockPtr& b, TaskContext& tc) {
   if (!a) return b;
   if (!b) return a;
   tc.ChargeCompute(tc.cost_model().ElementwiseSeconds(a->size()));
-  return linalg::MakeBlock(linalg::ElementMin(*a, *b));
+  return linalg::MakeBlock(linalg::ElementMin(*a, *b, tc.kernel()));
 }
 
 /// True if any entry of `candidate` beats `current` (phantom: assume yes,
@@ -103,6 +103,11 @@ PregelResult ShortestPaths(const graph::Graph& g,
     return result;
   }
   sparklet::SparkletContext ctx(cluster);
+  // Vertex programs relax in (min, +), whatever semiring the cluster's
+  // kernel config names.
+  linalg::KernelTuning kernel = cluster.kernel;
+  kernel.semiring = linalg::SemiringId::kMinPlus;
+  ctx.set_kernel(kernel);
   auto csr = std::make_shared<const graph::Csr>(g);
 
   // Initial vertex states: inf everywhere, 0 in the own-landmark slot.

@@ -32,7 +32,7 @@ std::string ClusterConfig::Summary() const {
   out << ", " << FormatBytes(executor_memory_bytes) << " RAM/node, "
       << FormatBytes(local_storage_bytes) << " local storage/node, net "
       << FormatRate(network.bandwidth_bytes_per_sec) << ", kernels "
-      << linalg::KernelVariantName(kernel_variant);
+      << (kernel.pool == nullptr ? "tiled" : "tiled_parallel");
   if (intra_task_cores > 1) {
     out << ", " << intra_task_cores << " cores/task ("
         << concurrent_task_slots() << " slots)";

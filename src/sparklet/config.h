@@ -58,12 +58,14 @@ struct ClusterConfig {
   /// How many times a failed task is retried before the job aborts
   /// (spark.task.maxFailures defaults to 4).
   int max_task_failures = 4;
-  /// Which linalg kernel implementation the solvers select before running
-  /// (see linalg/kernel_registry.h). Host-side only: virtual-cluster time is
-  /// always charged from the calibrated cost model, so changing the variant
-  /// changes how fast real blocks are crunched on this machine, never the
-  /// modelled cluster seconds.
-  linalg::KernelVariant kernel_variant = linalg::KernelVariant::kTiled;
+  /// How the executors' block kernels run on this host: ISA, tile geometry
+  /// and the pool they may fan out on (nullptr = inline). A solve evaluates
+  /// these under the request's semiring (apsp::ApspOptions::semiring), so
+  /// `kernel.semiring` is not read by solves. Host-side only: virtual-cluster
+  /// time is always charged from the calibrated cost model, so this changes
+  /// how fast real blocks are crunched on this machine, never the modelled
+  /// cluster seconds.
+  linalg::KernelTuning kernel;
   /// Serialization/deserialization cost per byte crossing a process
   /// boundary (pySpark pickling is slow, ~300 MB/s per core).
   double serde_seconds_per_byte = 3e-9;

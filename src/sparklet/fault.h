@@ -148,6 +148,30 @@ class FaultInjector {
   const std::vector<NodeJoinPlan>& pending_join_plans() const noexcept {
     return join_plan_;
   }
+  /// Disarms every pending node, rack and join plan and describes each,
+  /// e.g. "node 1 at stage 40". Their stage ordinals count from the job's
+  /// cluster Reset, so a job calls this when it ends: a plan past its last
+  /// stage never fired, and must not fire in the next job on the context.
+  std::vector<std::string> TakeUnfiredPlans() {
+    std::vector<std::string> unfired;
+    const auto at = [](std::int64_t stage) {
+      return " at stage " + std::to_string(stage);
+    };
+    for (const NodeFailurePlan& p : node_plan_) {
+      unfired.push_back("node " + std::to_string(p.node) + at(p.at_stage));
+    }
+    for (const RackFailurePlan& p : rack_plan_) {
+      unfired.push_back("rack " + std::to_string(p.rack) + at(p.at_stage));
+    }
+    for (const NodeJoinPlan& p : join_plan_) {
+      unfired.push_back("join" + at(p.at_stage));
+    }
+    node_plan_.clear();
+    rack_plan_.clear();
+    join_plan_.clear();
+    return unfired;
+  }
+
   bool empty() const noexcept {
     return plan_.empty() && node_plan_.empty() && rack_plan_.empty() &&
            join_plan_.empty();

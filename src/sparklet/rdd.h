@@ -254,7 +254,7 @@ class SparkletContext {
  public:
   explicit SparkletContext(ClusterConfig config,
                            linalg::CostModel cost_model = {})
-      : cluster_(config), cost_model_(cost_model) {
+      : cluster_(config), cost_model_(cost_model), kernel_(config.kernel) {
     // The intra-task parallelism dimension travels with the cluster shape:
     // stamping it here keeps every ChargeCompute site and the stage slot
     // count (VirtualCluster::RunStage) consistent by construction.
@@ -278,8 +278,16 @@ class SparkletContext {
   const SimMetrics& metrics() const noexcept { return cluster_.metrics(); }
   double now_seconds() const noexcept { return cluster_.now_seconds(); }
 
+  /// The config this context's tasks hand their block kernels
+  /// (TaskContext::kernel): config().kernel until apsp::RunSolve installs
+  /// a solve's resolved config for the solve's duration.
+  const linalg::KernelTuning& kernel() const noexcept { return kernel_; }
+  void set_kernel(const linalg::KernelTuning& kernel) noexcept {
+    kernel_ = kernel;
+  }
+
   TaskContext MakeTaskContext() {
-    return TaskContext(&cost_model_, &shared_storage_, &config());
+    return TaskContext(&cost_model_, &shared_storage_, &config(), &kernel_);
   }
 
   int NextRddId() noexcept { return next_rdd_id_++; }
@@ -423,6 +431,7 @@ class SparkletContext {
  private:
   VirtualCluster cluster_;
   linalg::CostModel cost_model_;
+  linalg::KernelTuning kernel_;
   SharedStorage shared_storage_;
   FaultInjector fault_injector_;
   int next_rdd_id_ = 0;

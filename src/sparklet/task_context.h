@@ -4,9 +4,10 @@
 // which it (a) charges modelled compute time — kernels are real at test
 // scale, but the virtual clock always advances by the calibrated cost model
 // so that laptop runs and paper-scale phantom runs report consistent time —
-// and (b) reaches the shared-storage side channel, with read traffic added
-// to the task's modelled duration (the paper's executors deserialize column
-// blocks from GPFS inside map tasks).
+// (b) reaches the shared-storage side channel, with read traffic added to
+// the task's modelled duration (the paper's executors deserialize column
+// blocks from GPFS inside map tasks), and (c) reads the kernel config its
+// block kernels run under.
 #pragma once
 
 #include <cstdint>
@@ -22,10 +23,16 @@ namespace apspark::sparklet {
 class TaskContext {
  public:
   TaskContext(const linalg::CostModel* cost_model, SharedStorage* storage,
-              const ClusterConfig* config)
-      : cost_model_(cost_model), storage_(storage), config_(config) {}
+              const ClusterConfig* config, const linalg::KernelTuning* kernel)
+      : cost_model_(cost_model),
+        storage_(storage),
+        config_(config),
+        kernel_(kernel) {}
 
   const linalg::CostModel& cost_model() const noexcept { return *cost_model_; }
+
+  /// The config this job's block kernels run under.
+  const linalg::KernelTuning& kernel() const noexcept { return *kernel_; }
 
   /// Adds modelled seconds to this task's duration.
   void ChargeCompute(double seconds) noexcept { task_seconds_ += seconds; }
@@ -64,6 +71,7 @@ class TaskContext {
   const linalg::CostModel* cost_model_;
   SharedStorage* storage_;
   const ClusterConfig* config_;
+  const linalg::KernelTuning* kernel_;
   double task_seconds_ = 0;
   std::uint64_t shared_read_bytes_ = 0;
   int stage_concurrency_ = 1;

@@ -39,7 +39,7 @@ DenseBlock RandomSym(std::int64_t n, std::uint64_t seed) {
 sparklet::TaskContext MakeTc(const linalg::CostModel* model,
                              sparklet::SharedStorage* storage,
                              const sparklet::ClusterConfig* cfg) {
-  return sparklet::TaskContext(model, storage, cfg);
+  return sparklet::TaskContext(model, storage, cfg, &cfg->kernel);
 }
 
 struct TcFixture {
@@ -218,8 +218,9 @@ TEST(BuildingBlocks, KernelWrappersChargeModelTime) {
   auto mn = MatMin(a, b, f.tc);
   EXPECT_GT(f.tc.task_seconds(), after_prod);
   EXPECT_TRUE(
-      mn->ApproxEquals(linalg::ElementMin(*a, *b)));
-  EXPECT_TRUE(prod->ApproxEquals(linalg::MinPlusProduct(*a, *b)));
+      mn->ApproxEquals(linalg::ElementMin(*a, *b, f.cfg.kernel)));
+  EXPECT_TRUE(
+      prod->ApproxEquals(linalg::MinPlusProduct(*a, *b, f.cfg.kernel)));
 }
 
 TEST(BuildingBlocks, MinPlusIntoBatchMatchesPerRecordChargesAndValues) {
@@ -257,7 +258,8 @@ TEST(BuildingBlocks, MinPlusIsProductThenMin) {
   auto b = linalg::MakeBlock(RandomSym(6, 4));
   auto mp = MinPlus(a, b, f.tc);
   auto expected =
-      linalg::ElementMin(*a, linalg::MinPlusProduct(*a, *b));
+      linalg::ElementMin(*a, linalg::MinPlusProduct(*a, *b, f.cfg.kernel),
+                         f.cfg.kernel);
   EXPECT_TRUE(mp->ApproxEquals(expected));
 }
 
@@ -376,22 +378,25 @@ TEST(BuildingBlocks, Phase2And3UnpackReproduceBlockedFwIteration) {
   DenseBlock ref = m;
   {
     double* base = ref.mutable_data();
-    linalg::FloydWarshallRaw(b, base + i * b * n + i * b, n);
+    linalg::FloydWarshallRaw(b, base + i * b * n + i * b, n, f.cfg.kernel);
     for (std::int64_t j = 0; j < layout.q(); ++j) {
       if (j == i) continue;
       linalg::MinPlusAccumulateRaw(b, b, b, base + i * b * n + i * b, n,
                                    base + i * b * n + j * b, n,
-                                   base + i * b * n + j * b, n);
+                                   base + i * b * n + j * b, n,
+                                   f.cfg.kernel);
       linalg::MinPlusAccumulateRaw(b, b, b, base + j * b * n + i * b, n,
                                    base + i * b * n + i * b, n,
-                                   base + j * b * n + i * b, n);
+                                   base + j * b * n + i * b, n,
+                                   f.cfg.kernel);
     }
     for (std::int64_t r = 0; r < layout.q(); ++r) {
       for (std::int64_t c = 0; c < layout.q(); ++c) {
         if (r == i || c == i) continue;
         linalg::MinPlusAccumulateRaw(b, b, b, base + r * b * n + i * b, n,
                                      base + i * b * n + c * b, n,
-                                     base + r * b * n + c * b, n);
+                                     base + r * b * n + c * b, n,
+                                     f.cfg.kernel);
       }
     }
   }

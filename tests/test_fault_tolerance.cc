@@ -636,6 +636,93 @@ TEST(EndToEnd, ImpureSolversRestartFromCheckpointBitwise) {
   }
 }
 
+TEST(EndToEnd, RepeatedSquaringKeepsOneSquaringStaged) {
+  // Each finished squaring erases the column segments the previous one
+  // staged ("rs/<squaring>/..."). After the solve — clean, or after a loss
+  // that lands past the first erase, with and without a checkpoint to
+  // restart from — shared storage holds at most one squaring's segments,
+  // and the result stays bitwise-locked to the oracle.
+  const Graph g = graph::PaperErdosRenyi(40, 13);
+  Graph gi(g.num_vertices(), g.directed());
+  for (const auto& e : g.edges()) {
+    gi.AddEdge(e.u, e.v, std::floor(e.weight)).CheckOk();
+  }
+  const DenseBlock oracle = Oracle(gi);
+  const BlockLayout layout(40, 10);  // q = 4, six squarings
+  struct Case {
+    std::vector<sparklet::NodeFailurePlan> failures;
+    std::int64_t checkpoint_every;
+  };
+  for (const Case& c : {Case{{}, 0}, Case{{{1, 45}}, 4}, Case{{{1, 45}}, 0}}) {
+    const std::string label =
+        "loss " + std::string(c.failures.empty() ? "none" : "@45") +
+        " checkpoint_every=" + std::to_string(c.checkpoint_every);
+    SparkletContext ctx(TestCluster());
+    ApspOptions opts;
+    opts.block_size = 10;
+    opts.checkpoint_every = c.checkpoint_every;
+    opts.fail_nodes = c.failures;
+    auto result = apsp::Solve(
+        ctx, layout, layout.Decompose(gi.ToDenseAdjacency()),
+        test::ApspRequest(SolverKind::kRepeatedSquaring, opts)).run;
+    ASSERT_TRUE(result.status.ok()) << label << ": "
+                                    << result.status.ToString();
+    ExpectBitwiseEqual(*result.distances, oracle, label);
+    EXPECT_EQ(result.metrics.executor_failures, c.failures.size()) << label;
+    int staged_squarings = 0;
+    for (int squaring = 0; squaring < 64; ++squaring) {
+      const std::string prefix = "rs/" + std::to_string(squaring) + "/";
+      if (ctx.shared_storage().ErasePrefix(prefix) > 0) ++staged_squarings;
+    }
+    EXPECT_LE(staged_squarings, 1) << label;
+  }
+}
+
+TEST(FaultPlans, PlansPastTheJobsEndAreDisarmedWhenItEnds) {
+  // A plan whose stage ordinal lies past the job's last stage never fires.
+  // The solve reports it and disarms it, so a later job on the same
+  // context — long enough to reach that ordinal — sees no loss.
+  const Graph g = graph::PaperErdosRenyi(48, 61);
+  const BlockLayout layout(48, 12);
+  const auto blocks = layout.Decompose(g.ToDenseAdjacency());
+  const SolverKind kind = SolverKind::kBlockedInMemory;
+  ApspOptions one_round;
+  one_round.block_size = 12;
+  one_round.max_rounds = 1;
+  ApspOptions full;
+  full.block_size = 12;
+  const auto stages = [&](const ApspOptions& opts) {
+    SparkletContext ctx(TestCluster());
+    return apsp::Solve(ctx, layout, blocks, test::ApspRequest(kind, opts))
+        .run.metrics.stages;
+  };
+  const auto short_stages = static_cast<std::int64_t>(stages(one_round));
+  const auto long_stages = static_cast<std::int64_t>(stages(full));
+  ASSERT_LT(short_stages + 1, long_stages);
+  const std::int64_t at = (short_stages + long_stages) / 2;
+
+  SparkletContext ctx(TestCluster());
+  ApspOptions first = one_round;
+  first.fail_nodes = {{1, at}};
+  first.add_nodes = {at};
+  const auto run1 =
+      apsp::Solve(ctx, layout, blocks, test::ApspRequest(kind, first)).run;
+  ASSERT_TRUE(run1.status.ok()) << run1.status.ToString();
+  EXPECT_EQ(run1.metrics.executor_failures, 0u);
+  const std::string stage = " at stage " + std::to_string(at);
+  EXPECT_EQ(run1.unfired_plans,
+            (std::vector<std::string>{"node 1" + stage, "join" + stage}));
+  EXPECT_TRUE(ctx.fault_injector().pending_node_plans().empty());
+  EXPECT_TRUE(ctx.fault_injector().pending_join_plans().empty());
+
+  const auto run2 =
+      apsp::Solve(ctx, layout, blocks, test::ApspRequest(kind, full)).run;
+  ASSERT_TRUE(run2.status.ok()) << run2.status.ToString();
+  EXPECT_EQ(run2.metrics.executor_failures, 0u);
+  EXPECT_EQ(run2.metrics.node_joins, 0u);
+  EXPECT_TRUE(run2.unfired_plans.empty());
+}
+
 TEST(EndToEnd, ImpureSolverWithoutCheckpointRestartsFromScratch) {
   // Whether a given loss forces the impure path depends on where in the
   // round it lands (a loss before the first repartition materializes can

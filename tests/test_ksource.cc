@@ -1,13 +1,13 @@
-// Batched k-source shortest paths: every kernel variant's n x k panel is
+// Batched k-source shortest paths: every kernel config's n x k panel is
 // locked to the scalar oracle (columns of ReferenceFloydWarshall).
 //
 // Oracle strategy: the randomized sweeps draw graphs with *integer* weights,
 // where every path sum is exact in double precision — so the blocked frontier
 // sweep must agree with the textbook Floyd-Warshall not just approximately
-// but bit for bit, in all three registry variants. A separate suite with
-// fractional weights checks the registry's cross-variant bitwise guarantee
-// plus tolerance-level agreement with the oracle (different algorithms may
-// associate FP sums differently in the last ulp).
+// but bit for bit, inline and pooled. A separate suite with fractional
+// weights checks the cross-config bitwise guarantee plus tolerance-level
+// agreement with the oracle (different algorithms may associate FP sums
+// differently in the last ulp).
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -27,16 +27,14 @@ using apsp::KsourceVariant;
 using graph::Graph;
 using graph::VertexId;
 using linalg::DenseBlock;
-using linalg::KernelVariant;
 using linalg::kInf;
 using test::ExpectBitwiseEqual;
 using test::RandomGraphOptions;
 using test::RandomTestGraph;
 using test::TestCluster;
 
-constexpr KernelVariant kVariants[] = {KernelVariant::kNaive,
-                                       KernelVariant::kTiled,
-                                       KernelVariant::kTiledParallel};
+using test::KernelConfigs;
+using test::NamedKernel;
 
 /// Scalar oracle: full textbook Floyd-Warshall, then the k-source panel is
 /// read off as oracle(v, j) = dist(sources[j] -> v).
@@ -55,19 +53,18 @@ DenseBlock OraclePanel(const Graph& g, const std::vector<VertexId>& sources) {
 
 apsp::ApspRunResult RunKsource(
     const Graph& g, const std::vector<VertexId>& sources,
-    std::int64_t block_size, KernelVariant variant,
+    std::int64_t block_size, const linalg::KernelTuning& kernel,
     apsp::KsourceVariant data_plane = apsp::KsourceVariant::kStagedStorage) {
   ApspOptions opts;
   opts.block_size = block_size;
   opts.variant = data_plane;
-  auto cluster = TestCluster();
-  cluster.kernel_variant = variant;
-  return apsp::Solve(g, test::KsspRequest(sources, opts, cluster)).run;
+  return apsp::Solve(g, test::KsspRequest(sources, opts, TestCluster(kernel)))
+      .run;
 }
 
-// --- rectangular kernel, all variants ------------------------------------
+// --- rectangular kernel, all configs -------------------------------------
 
-TEST(KsourceKernel, RectUpdateBitwiseAcrossVariantsRandomized) {
+TEST(KsourceKernel, RectUpdateBitwiseAcrossConfigsRandomized) {
   for (std::uint64_t seed = 1; seed <= 12; ++seed) {
     APSPARK_SEEDED_CASE(seed);
     Xoshiro256 rng(seed);
@@ -87,14 +84,13 @@ TEST(KsourceKernel, RectUpdateBitwiseAcrossVariantsRandomized) {
 
     DenseBlock reference = base;
     linalg::MinPlusAccumulateRawNaive(m, w, kk, a.data(), kk, p.data(), w,
-                                      reference.mutable_data(), w);
-    for (KernelVariant variant : kVariants) {
-      linalg::ScopedKernelVariant scope(variant);
+                                      reference.mutable_data(), w,
+                                      linalg::SemiringId::kMinPlus);
+    for (const NamedKernel& config : KernelConfigs()) {
       DenseBlock c = base;
-      linalg::MinPlusUpdateRect(a, p, c);
+      linalg::MinPlusUpdateRect(a, p, c, config.kernel);
       ExpectBitwiseEqual(c, reference,
-                         std::string("variant ") +
-                             linalg::KernelVariantName(variant) + " m=" +
+                         std::string("kernel ") + config.name + " m=" +
                              std::to_string(m) + " k=" + std::to_string(kk) +
                              " w=" + std::to_string(w));
     }
@@ -105,7 +101,7 @@ TEST(KsourceKernel, RectUpdatePropagatesPhantoms) {
   const DenseBlock a = DenseBlock::Phantom(8, 8);
   const DenseBlock p(8, 3, 1.0);
   DenseBlock c(8, 3, 2.0);
-  linalg::MinPlusUpdateRect(a, p, c);
+  linalg::MinPlusUpdateRect(a, p, c, linalg::KernelTuning{});
   EXPECT_TRUE(c.is_phantom());
   EXPECT_EQ(c.rows(), 8);
   EXPECT_EQ(c.cols(), 3);
@@ -114,7 +110,7 @@ TEST(KsourceKernel, RectUpdatePropagatesPhantoms) {
 // --- solver vs scalar oracle, randomized ----------------------------------
 
 TEST(KsourceSolver, MatchesOracleBitwiseOnRandomizedIntegerGraphs) {
-  // >= 20 randomized graph/k combinations x all three variants, bitwise.
+  // >= 20 randomized graph/k combinations x both kernel configs, bitwise.
   RandomGraphOptions graph_opts;
   graph_opts.integer_weights = true;
   graph_opts.max_vertices = 72;
@@ -139,14 +135,14 @@ TEST(KsourceSolver, MatchesOracleBitwiseOnRandomizedIntegerGraphs) {
         1 + static_cast<std::int64_t>(rng.NextBounded(
                 static_cast<std::uint64_t>(n + 4)));
     const DenseBlock oracle = OraclePanel(g, sources);
-    for (KernelVariant variant : kVariants) {
-      auto result = RunKsource(g, sources, block_size, variant);
+    for (const NamedKernel& config : KernelConfigs()) {
+      auto result = RunKsource(g, sources, block_size, config.kernel);
       ASSERT_TRUE(result.status.ok())
-          << linalg::KernelVariantName(variant) << ": "
+          << config.name << ": "
           << result.status.ToString();
       ASSERT_TRUE(result.distances.has_value());
       ExpectBitwiseEqual(*result.distances, oracle,
-                         std::string(linalg::KernelVariantName(variant)) +
+                         std::string(config.name) +
                              " n=" + std::to_string(n) + " k=" +
                              std::to_string(k) + " b=" +
                              std::to_string(block_size) +
@@ -157,11 +153,11 @@ TEST(KsourceSolver, MatchesOracleBitwiseOnRandomizedIntegerGraphs) {
   EXPECT_GE(combos, 20);
 }
 
-TEST(KsourceSolver, FractionalWeightsVariantsAgreeBitwiseAndMatchOracle) {
+TEST(KsourceSolver, FractionalWeightsConfigsAgreeBitwiseAndMatchOracle) {
   // With fractional weights different algorithms may differ in the last ulp
-  // from the oracle, but the three registry variants must still be bitwise
-  // identical to each other (block_size <= fw_block keeps the diagonal close
-  // on the identical scalar path in every variant).
+  // from the oracle, but the kernel configs must still be bitwise identical
+  // to each other (block_size <= fw_block keeps the diagonal close on the
+  // identical scalar path in every config).
   RandomGraphOptions graph_opts;
   graph_opts.integer_weights = false;
   graph_opts.max_vertices = 64;
@@ -182,18 +178,18 @@ TEST(KsourceSolver, FractionalWeightsVariantsAgreeBitwiseAndMatchOracle) {
         1 + static_cast<std::int64_t>(rng.NextBounded(24));
     const DenseBlock oracle = OraclePanel(g, sources);
     std::optional<DenseBlock> naive_panel;
-    for (KernelVariant variant : kVariants) {
-      auto result = RunKsource(g, sources, block_size, variant);
+    for (const NamedKernel& config : KernelConfigs()) {
+      auto result = RunKsource(g, sources, block_size, config.kernel);
       ASSERT_TRUE(result.status.ok()) << result.status.ToString();
       ASSERT_TRUE(result.distances.has_value());
       EXPECT_TRUE(result.distances->ApproxEquals(oracle, 1e-9))
-          << linalg::KernelVariantName(variant) << ": max diff "
+          << config.name << ": max diff "
           << result.distances->MaxAbsDiff(oracle);
       if (!naive_panel.has_value()) {
         naive_panel = *result.distances;
       } else {
         ExpectBitwiseEqual(*result.distances, *naive_panel,
-                           linalg::KernelVariantName(variant));
+                           config.name);
       }
     }
   }
@@ -206,8 +202,8 @@ TEST(KsourceSolver, SingleSourceMatchesDijkstra) {
   // tolerance (the bitwise suites above pin the exact-arithmetic cases).
   const Graph g = graph::PaperErdosRenyi(60, 17);
   const auto truth = graph::DijkstraAllPairs(g);
-  for (KernelVariant variant : kVariants) {
-    auto result = RunKsource(g, {42}, 16, variant);
+  for (const NamedKernel& config : KernelConfigs()) {
+    auto result = RunKsource(g, {42}, 16, config.kernel);
     ASSERT_TRUE(result.status.ok());
     const DenseBlock& panel = *result.distances;
     ASSERT_EQ(panel.cols(), 1);
@@ -225,11 +221,11 @@ TEST(KsourceSolver, MoreSourcesThanVerticesWithDuplicates) {
   const Graph g = graph::CycleGraph(6, 2.0);
   std::vector<VertexId> sources = {0, 1, 2, 3, 4, 5, 0, 3, 3};  // k = 9 > n
   const DenseBlock oracle = OraclePanel(g, sources);
-  for (KernelVariant variant : kVariants) {
-    auto result = RunKsource(g, sources, 4, variant);
+  for (const NamedKernel& config : KernelConfigs()) {
+    auto result = RunKsource(g, sources, 4, config.kernel);
     ASSERT_TRUE(result.status.ok());
     ExpectBitwiseEqual(*result.distances, oracle,
-                       linalg::KernelVariantName(variant));
+                       config.name);
   }
 }
 
@@ -250,11 +246,11 @@ TEST(KsourceSolver, PanelWidthNotDivisibleByTileWidth) {
           rng.NextBounded(static_cast<std::uint64_t>(g.num_vertices()))));
     }
     const DenseBlock oracle = OraclePanel(g, sources);
-    for (KernelVariant variant : kVariants) {
-      auto result = RunKsource(g, sources, 16, variant);
+    for (const NamedKernel& config : KernelConfigs()) {
+      auto result = RunKsource(g, sources, 16, config.kernel);
       ASSERT_TRUE(result.status.ok());
       ExpectBitwiseEqual(*result.distances, oracle,
-                         std::string(linalg::KernelVariantName(variant)) +
+                         std::string(config.name) +
                              " k=" + std::to_string(k));
     }
   }
@@ -262,8 +258,8 @@ TEST(KsourceSolver, PanelWidthNotDivisibleByTileWidth) {
 
 TEST(KsourceSolver, SingleNodeGraph) {
   const Graph g(1);
-  for (KernelVariant variant : kVariants) {
-    auto result = RunKsource(g, {0, 0, 0}, 4, variant);
+  for (const NamedKernel& config : KernelConfigs()) {
+    auto result = RunKsource(g, {0, 0, 0}, 4, config.kernel);
     ASSERT_TRUE(result.status.ok());
     const DenseBlock& panel = *result.distances;
     EXPECT_EQ(panel.rows(), 1);
@@ -279,8 +275,8 @@ TEST(KsourceSolver, DirectedDistancesAreSourceRooted) {
   g.AddEdge(0, 1, 1.0).CheckOk();
   g.AddEdge(1, 2, 1.0).CheckOk();
   g.AddEdge(2, 3, 1.0).CheckOk();
-  for (KernelVariant variant : kVariants) {
-    auto result = RunKsource(g, {0, 3}, 2, variant);
+  for (const NamedKernel& config : KernelConfigs()) {
+    auto result = RunKsource(g, {0, 3}, 2, config.kernel);
     ASSERT_TRUE(result.status.ok());
     const DenseBlock& panel = *result.distances;
     EXPECT_EQ(panel.At(0, 0), 0.0);
@@ -297,7 +293,7 @@ TEST(KsourceSolver, DisconnectedPairsStayInfinite) {
   const Graph g = test::TwoComponentGraph(16, 5, 6);
   std::vector<VertexId> sources = {0, 20};
   const DenseBlock oracle = OraclePanel(g, sources);
-  auto result = RunKsource(g, sources, 8, KernelVariant::kTiled);
+  auto result = RunKsource(g, sources, 8, linalg::KernelTuning{});
   ASSERT_TRUE(result.status.ok());
   const DenseBlock& panel = *result.distances;
   EXPECT_TRUE(panel.ApproxEquals(oracle, 1e-9));
@@ -333,16 +329,16 @@ TEST(KsourceShuffleVariant, MatchesOracleBitwiseOnRandomizedIntegerGraphs) {
         1 + static_cast<std::int64_t>(rng.NextBounded(
                 static_cast<std::uint64_t>(n + 4)));
     const DenseBlock oracle = OraclePanel(g, sources);
-    for (KernelVariant variant : kVariants) {
-      auto result = RunKsource(g, sources, block_size, variant,
+    for (const NamedKernel& config : KernelConfigs()) {
+      auto result = RunKsource(g, sources, block_size, config.kernel,
                                apsp::KsourceVariant::kShuffleReplicated);
       ASSERT_TRUE(result.status.ok())
-          << linalg::KernelVariantName(variant) << ": "
+          << config.name << ": "
           << result.status.ToString();
       ASSERT_TRUE(result.distances.has_value());
       ExpectBitwiseEqual(*result.distances, oracle,
                          std::string("shuffle variant, kernel ") +
-                             linalg::KernelVariantName(variant) + " n=" +
+                             config.name + " n=" +
                              std::to_string(n) + " k=" + std::to_string(k) +
                              " b=" + std::to_string(block_size));
     }
@@ -352,9 +348,9 @@ TEST(KsourceShuffleVariant, MatchesOracleBitwiseOnRandomizedIntegerGraphs) {
 TEST(KsourceShuffleVariant, UsesNoSharedStorageAndAgreesWithStaged) {
   const Graph g = graph::PaperErdosRenyi(72, 19);
   const std::vector<VertexId> sources = {3, 17, 41, 66};
-  auto staged = RunKsource(g, sources, 16, KernelVariant::kTiled,
+  auto staged = RunKsource(g, sources, 16, linalg::KernelTuning{},
                            apsp::KsourceVariant::kStagedStorage);
-  auto shuffle = RunKsource(g, sources, 16, KernelVariant::kTiled,
+  auto shuffle = RunKsource(g, sources, 16, linalg::KernelTuning{},
                             apsp::KsourceVariant::kShuffleReplicated);
   ASSERT_TRUE(staged.status.ok());
   ASSERT_TRUE(shuffle.status.ok());

@@ -9,9 +9,13 @@
 #include "linalg/cost_model.h"
 #include "linalg/dense_block.h"
 #include "linalg/kernels.h"
+#include "test_support.h"
 
 namespace apspark::linalg {
 namespace {
+
+/// The default config: (min, +), host ISA, default tiles, inline.
+const KernelTuning kKernel;
 
 DenseBlock RandomBlock(std::int64_t rows, std::int64_t cols,
                        std::uint64_t seed, double inf_fraction = 0.2) {
@@ -126,14 +130,14 @@ TEST(Kernels, MinPlusMatchesNaive) {
   for (std::uint64_t seed = 0; seed < 5; ++seed) {
     const DenseBlock a = RandomBlock(9, 7, seed * 3 + 1);
     const DenseBlock b = RandomBlock(7, 11, seed * 3 + 2);
-    EXPECT_TRUE(MinPlusProduct(a, b).ApproxEquals(NaiveMinPlus(a, b)));
+    EXPECT_TRUE(MinPlusProduct(a, b, kKernel).ApproxEquals(NaiveMinPlus(a, b)));
   }
 }
 
 TEST(Kernels, MinPlusShapeMismatchThrows) {
   const DenseBlock a = RandomBlock(3, 4, 1);
   const DenseBlock b = RandomBlock(5, 3, 2);
-  EXPECT_THROW(MinPlusProduct(a, b), std::invalid_argument);
+  EXPECT_THROW(MinPlusProduct(a, b, kKernel), std::invalid_argument);
 }
 
 TEST(Kernels, MinPlusWithIdentityIsNoWorse) {
@@ -141,8 +145,8 @@ TEST(Kernels, MinPlusWithIdentityIsNoWorse) {
   const DenseBlock a = RandomBlock(8, 8, 5);
   DenseBlock id(8, 8, kInf);
   for (int i = 0; i < 8; ++i) id.Set(i, i, 0.0);
-  EXPECT_TRUE(MinPlusProduct(a, id).ApproxEquals(a));
-  EXPECT_TRUE(MinPlusProduct(id, a).ApproxEquals(a));
+  EXPECT_TRUE(MinPlusProduct(a, id, kKernel).ApproxEquals(a));
+  EXPECT_TRUE(MinPlusProduct(id, a, kKernel).ApproxEquals(a));
 }
 
 TEST(Kernels, MinPlusUpdateOnlyImproves) {
@@ -150,7 +154,7 @@ TEST(Kernels, MinPlusUpdateOnlyImproves) {
   const DenseBlock b = RandomBlock(6, 6, 7);
   DenseBlock c = RandomBlock(6, 6, 8);
   const DenseBlock before = c;
-  MinPlusUpdate(a, b, c);
+  MinPlusUpdate(a, b, c, kKernel);
   for (std::int64_t i = 0; i < c.size(); ++i) {
     EXPECT_LE(c.data()[i], before.data()[i]);
   }
@@ -159,7 +163,7 @@ TEST(Kernels, MinPlusUpdateOnlyImproves) {
 TEST(Kernels, ElementMin) {
   const DenseBlock a = RandomBlock(5, 5, 9);
   const DenseBlock b = RandomBlock(5, 5, 10);
-  const DenseBlock m = ElementMin(a, b);
+  const DenseBlock m = ElementMin(a, b, kKernel);
   for (std::int64_t i = 0; i < m.size(); ++i) {
     EXPECT_EQ(m.data()[i], std::min(a.data()[i], b.data()[i]));
   }
@@ -170,7 +174,7 @@ TEST(Kernels, OuterSumMinUpdate) {
   const DenseBlock u = RandomBlock(4, 1, 12, 0.3);
   const DenseBlock v = RandomBlock(6, 1, 13, 0.3);
   const DenseBlock before = a;
-  OuterSumMinUpdate(a, u, v);
+  OuterSumMinUpdate(a, u, v, kKernel);
   for (std::int64_t i = 0; i < 4; ++i) {
     for (std::int64_t j = 0; j < 6; ++j) {
       EXPECT_EQ(a.At(i, j),
@@ -193,9 +197,9 @@ TEST_P(BlockedFwSweep, MatchesPlainFloydWarshall) {
     for (std::int64_t j = i + 1; j < n; ++j) adj.Set(j, i, adj.At(i, j));
   }
   DenseBlock plain = adj;
-  FloydWarshallInPlace(plain);
+  FloydWarshallInPlace(plain, kKernel);
   DenseBlock blocked = adj;
-  BlockedFloydWarshall(blocked, tile);
+  BlockedFloydWarshall(blocked, tile, kKernel);
   EXPECT_TRUE(blocked.ApproxEquals(plain, 1e-9))
       << "n=" << n << " tile=" << tile;
 }
@@ -212,23 +216,18 @@ INSTANTIATE_TEST_SUITE_P(
 
 TEST(Kernels, FloydWarshallRequiresSquare) {
   DenseBlock rect(3, 4, 1.0);
-  EXPECT_THROW(FloydWarshallInPlace(rect), std::invalid_argument);
+  EXPECT_THROW(FloydWarshallInPlace(rect, kKernel), std::invalid_argument);
   EXPECT_THROW(ReferenceFloydWarshall(rect), std::invalid_argument);
 }
 
-// --- kernel variant properties ------------------------------------------
+// --- kernel config properties -------------------------------------------
 //
-// Every registry variant must agree with the fixed scalar reference. The
+// Every kernel config must agree with the fixed scalar reference. The
 // min-plus kernels must agree *bitwise*: tiling and striping only reorder
 // the (min) reduction, candidates a_ik + b_kj are computed identically.
 
-// Pins a kernel variant for one test, restoring the previous tuning
-// afterwards so test order cannot leak configuration.
-using ScopedVariant = ScopedKernelVariant;
-
-const KernelVariant kAllVariants[] = {KernelVariant::kNaive,
-                                      KernelVariant::kTiled,
-                                      KernelVariant::kTiledParallel};
+using test::KernelConfigs;
+using test::NamedKernel;
 
 bool BitwiseEqual(const DenseBlock& a, const DenseBlock& b) {
   if (a.rows() != b.rows() || a.cols() != b.cols()) return false;
@@ -244,7 +243,7 @@ bool BitwiseEqual(const DenseBlock& a, const DenseBlock& b) {
   return true;
 }
 
-TEST(KernelVariants, MinPlusUpdateBitwiseEqualAcrossVariants) {
+TEST(KernelConfigs, MinPlusUpdateBitwiseEqualToNaive) {
   // Rectangular shapes, including dims that do not divide the tile sizes.
   const struct {
     std::int64_t m, n, k;
@@ -263,51 +262,46 @@ TEST(KernelVariants, MinPlusUpdateBitwiseEqualAcrossVariants) {
                       inf_fraction);
       DenseBlock expected = c0;
       MinPlusAccumulateRawNaive(s.m, s.n, s.k, a.data(), s.k, b.data(), s.n,
-                                expected.mutable_data(), s.n);
-      for (KernelVariant v : kAllVariants) {
-        ScopedVariant scope(v);
+                                expected.mutable_data(), s.n,
+                                SemiringId::kMinPlus);
+      for (const NamedKernel& config : KernelConfigs()) {
         DenseBlock c = c0;
-        MinPlusUpdate(a, b, c);
+        MinPlusUpdate(a, b, c, config.kernel);
         EXPECT_TRUE(BitwiseEqual(c, expected))
-            << KernelVariantName(v) << " m=" << s.m << " n=" << s.n
-            << " k=" << s.k << " inf=" << inf_fraction;
+            << config.name << " m=" << s.m << " n=" << s.n << " k=" << s.k
+            << " inf=" << inf_fraction;
       }
     }
   }
 }
 
-TEST(KernelVariants, MinPlusProductBitwiseEqualAcrossVariants) {
+TEST(KernelConfigs, MinPlusProductBitwiseEqualToNaive) {
   const DenseBlock a = RandomBlock(150, 90, 41, 0.25);
   const DenseBlock b = RandomBlock(90, 170, 42, 0.25);
-  const DenseBlock expected = [&] {
-    ScopedVariant scope(KernelVariant::kNaive);
-    return MinPlusProduct(a, b);
-  }();
+  DenseBlock expected(150, 170, kInf);
+  MinPlusAccumulateRawNaive(150, 170, 90, a.data(), 90, b.data(), 170,
+                            expected.mutable_data(), 170,
+                            SemiringId::kMinPlus);
   EXPECT_TRUE(expected.ApproxEquals(NaiveMinPlus(a, b)));
-  for (KernelVariant v : kAllVariants) {
-    ScopedVariant scope(v);
-    EXPECT_TRUE(BitwiseEqual(MinPlusProduct(a, b), expected))
-        << KernelVariantName(v);
+  for (const NamedKernel& config : KernelConfigs()) {
+    EXPECT_TRUE(BitwiseEqual(MinPlusProduct(a, b, config.kernel), expected))
+        << config.name;
   }
 }
 
-TEST(KernelVariants, TinyTileSizesStayCorrect) {
+TEST(KernelConfigs, TinyTileSizesStayCorrect) {
   // Degenerate tiling parameters must not change results.
   KernelTuning tuning;
-  tuning.variant = KernelVariant::kTiled;
   tuning.tile_j = 1;
   tuning.tile_k = 1;
   tuning.fw_block = 1;
-  const KernelTuning saved = GetKernelTuning();
-  SetKernelTuning(tuning);
   const DenseBlock a = RandomBlock(17, 13, 51, 0.2);
   const DenseBlock b = RandomBlock(13, 19, 52, 0.2);
   DenseBlock c = RandomBlock(17, 19, 53, 0.2);
   DenseBlock expected = c;
   MinPlusAccumulateRawNaive(17, 19, 13, a.data(), 13, b.data(), 19,
-                            expected.mutable_data(), 19);
-  MinPlusUpdate(a, b, c);
-  SetKernelTuning(saved);
+                            expected.mutable_data(), 19, SemiringId::kMinPlus);
+  MinPlusUpdate(a, b, c, tuning);
   EXPECT_TRUE(BitwiseEqual(c, expected));
 }
 
@@ -323,7 +317,7 @@ DenseBlock RandomGraphMatrix(std::int64_t n, std::uint64_t seed, bool directed,
   return adj;
 }
 
-TEST(KernelVariants, FloydWarshallMatchesReferenceOracle) {
+TEST(KernelConfigs, FloydWarshallMatchesReferenceOracle) {
   for (bool directed : {false, true}) {
     for (double inf_fraction : {0.3, 0.7}) {
       // n chosen to not divide the fw tile below.
@@ -331,57 +325,42 @@ TEST(KernelVariants, FloydWarshallMatchesReferenceOracle) {
           101, directed ? 61u : 62u, directed, inf_fraction);
       DenseBlock expected = adj;
       ReferenceFloydWarshall(expected);
-      KernelTuning tuning;
-      tuning.fw_block = 16;  // force multiple ragged tiles
-      for (KernelVariant v : kAllVariants) {
-        const KernelTuning saved = GetKernelTuning();
-        tuning.variant = v;
-        SetKernelTuning(tuning);
+      for (NamedKernel config : KernelConfigs()) {
+        config.kernel.fw_block = 16;  // force multiple ragged tiles
         DenseBlock fw = adj;
-        FloydWarshallInPlace(fw);
-        SetKernelTuning(saved);
+        FloydWarshallInPlace(fw, config.kernel);
         EXPECT_TRUE(fw.ApproxEquals(expected, 1e-9))
-            << KernelVariantName(v) << " directed=" << directed
+            << config.name << " directed=" << directed
             << " inf=" << inf_fraction;
       }
     }
   }
 }
 
-TEST(KernelVariants, BlockedFloydWarshallAllVariantsAllTiles) {
+TEST(KernelConfigs, BlockedFloydWarshallAllConfigsAllTiles) {
   const DenseBlock adj = RandomGraphMatrix(53, 77, /*directed=*/true, 0.5);
   DenseBlock expected = adj;
   ReferenceFloydWarshall(expected);
-  for (KernelVariant v : kAllVariants) {
+  for (const NamedKernel& config : KernelConfigs()) {
     for (std::int64_t tile : {1, 7, 16, 53, 64}) {
-      ScopedVariant scope(v);
       DenseBlock blocked = adj;
-      BlockedFloydWarshall(blocked, tile);
+      BlockedFloydWarshall(blocked, tile, config.kernel);
       EXPECT_TRUE(blocked.ApproxEquals(expected, 1e-9))
-          << KernelVariantName(v) << " tile=" << tile;
+          << config.name << " tile=" << tile;
     }
   }
 }
 
-TEST(KernelVariants, PhantomPropagationIndependentOfVariant) {
-  for (KernelVariant v : kAllVariants) {
-    ScopedVariant scope(v);
+TEST(KernelConfigs, PhantomPropagationIndependentOfConfig) {
+  for (const NamedKernel& config : KernelConfigs()) {
     DenseBlock c = DenseBlock::Phantom(4, 6);
-    MinPlusUpdate(DenseBlock::Phantom(4, 5), DenseBlock::Phantom(5, 6), c);
+    MinPlusUpdate(DenseBlock::Phantom(4, 5), DenseBlock::Phantom(5, 6), c,
+                  config.kernel);
     EXPECT_TRUE(c.is_phantom());
     DenseBlock fw = DenseBlock::Phantom(32, 32);
-    FloydWarshallInPlace(fw);
+    FloydWarshallInPlace(fw, config.kernel);
     EXPECT_TRUE(fw.is_phantom());
   }
-}
-
-TEST(KernelVariants, ParseAndNameRoundTrip) {
-  for (KernelVariant v : kAllVariants) {
-    const auto parsed = ParseKernelVariant(KernelVariantName(v));
-    ASSERT_TRUE(parsed.has_value());
-    EXPECT_EQ(*parsed, v);
-  }
-  EXPECT_FALSE(ParseKernelVariant("gpu").has_value());
 }
 
 // --- phantom propagation -----------------------------------------------
@@ -389,7 +368,7 @@ TEST(KernelVariants, ParseAndNameRoundTrip) {
 TEST(Phantom, ProductOfPhantomsIsPhantom) {
   const DenseBlock a = DenseBlock::Phantom(4, 5);
   const DenseBlock b = DenseBlock::Phantom(5, 6);
-  const DenseBlock c = MinPlusProduct(a, b);
+  const DenseBlock c = MinPlusProduct(a, b, kKernel);
   EXPECT_TRUE(c.is_phantom());
   EXPECT_EQ(c.rows(), 4);
   EXPECT_EQ(c.cols(), 6);
@@ -398,18 +377,18 @@ TEST(Phantom, ProductOfPhantomsIsPhantom) {
 TEST(Phantom, MixedOperandsYieldPhantom) {
   const DenseBlock real = RandomBlock(4, 4, 20);
   const DenseBlock ph = DenseBlock::Phantom(4, 4);
-  EXPECT_TRUE(MinPlusProduct(real, ph).is_phantom());
-  EXPECT_TRUE(ElementMin(ph, real).is_phantom());
+  EXPECT_TRUE(MinPlusProduct(real, ph, kKernel).is_phantom());
+  EXPECT_TRUE(ElementMin(ph, real, kKernel).is_phantom());
   DenseBlock target = real;
-  ElementMinInPlace(target, ph);
+  ElementMinInPlace(target, ph, kKernel);
   EXPECT_TRUE(target.is_phantom());
 }
 
 TEST(Phantom, FloydWarshallKeepsPhantom) {
   DenseBlock ph = DenseBlock::Phantom(8, 8);
-  FloydWarshallInPlace(ph);
+  FloydWarshallInPlace(ph, kKernel);
   EXPECT_TRUE(ph.is_phantom());
-  BlockedFloydWarshall(ph, 4);
+  BlockedFloydWarshall(ph, 4, kKernel);
   EXPECT_TRUE(ph.is_phantom());
 }
 

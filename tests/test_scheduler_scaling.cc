@@ -1,10 +1,11 @@
 // Small-block scaling property suite for the work-stealing block-task
-// scheduler: every kernel variant must stay bitwise-equal to the scalar
-// oracle on exactly the layouts the scheduler exists for — many small blocks
-// (b in {64, 128}, q >= 8) — at the kernel level, as a raw task batch, and
-// end-to-end through the solvers on the directed / disconnected graphs from
-// test_support.h. Integer weights make every path sum exact in double
-// precision, so bitwise equality is the oracle (see test_support.h).
+// scheduler: every kernel config (inline and pooled) must stay bitwise-equal
+// to the scalar oracle on exactly the layouts the scheduler exists for —
+// many small blocks (b in {64, 128}, q >= 8) — at the kernel level, as a raw
+// task batch, and end-to-end through the solvers on the directed /
+// disconnected graphs from test_support.h. Integer weights make every path
+// sum exact in double precision, so bitwise equality is the oracle (see
+// test_support.h).
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -27,12 +28,9 @@ namespace {
 using apsp::ApspOptions;
 using apsp::SolverKind;
 using linalg::DenseBlock;
-using linalg::KernelVariant;
-using linalg::ScopedKernelVariant;
+using test::KernelConfigs;
+using test::NamedKernel;
 
-constexpr KernelVariant kAllVariants[] = {
-    KernelVariant::kNaive, KernelVariant::kTiled,
-    KernelVariant::kTiledParallel};
 
 /// Block sizes the suite sweeps: both ISSUE sizes in optimized builds, the
 /// smaller one only under unoptimized/sanitized builds (the b = 128 oracle
@@ -72,13 +70,6 @@ graph::Graph IntegerWeights(const graph::Graph& g) {
   return gi;
 }
 
-/// Pins the Floyd-Warshall tile size for the current scope's variant.
-void UseFwBlock(std::int64_t b) {
-  auto tuning = linalg::GetKernelTuning();
-  tuning.fw_block = b;
-  linalg::SetKernelTuning(tuning);
-}
-
 // --- kernel level -----------------------------------------------------------
 
 TEST(SchedulerScaling, BlockedFloydWarshallBitwiseAtSmallBlocks) {
@@ -89,14 +80,13 @@ TEST(SchedulerScaling, BlockedFloydWarshallBitwiseAtSmallBlocks) {
                                          /*inf_density=*/0.25);
     DenseBlock oracle = m;
     linalg::ReferenceFloydWarshall(oracle);
-    for (KernelVariant v : kAllVariants) {
-      ScopedKernelVariant scope(v);
-      UseFwBlock(b);
+    for (NamedKernel config : KernelConfigs()) {
+      config.kernel.fw_block = b;
       DenseBlock out = m;
-      linalg::FloydWarshallInPlace(out);
+      linalg::FloydWarshallInPlace(out, config.kernel);
       test::ExpectBitwiseEqual(out, oracle,
                                std::string("fw b=") + std::to_string(b) +
-                                   " variant=" + linalg::KernelVariantName(v));
+                                   " kernel=" + config.name);
     }
   }
 }
@@ -132,19 +122,19 @@ TEST(SchedulerScaling, IndependentBlockUpdateBatchBitwise) {
       const DenseBlock& p = rhs[static_cast<std::size_t>(u % q)];
       linalg::MinPlusAccumulateRawNaive(
           b, b, b, a.data(), b, p.data(), b,
-          expected[static_cast<std::size_t>(u)].mutable_data(), b);
+          expected[static_cast<std::size_t>(u)].mutable_data(), b,
+          linalg::SemiringId::kMinPlus);
     }
 
-    for (KernelVariant v : kAllVariants) {
-      ScopedKernelVariant scope(v);
+    for (const NamedKernel& config : KernelConfigs()) {
       std::vector<DenseBlock> out = base;
       auto run_one = [&](std::size_t u) {
         const DenseBlock& a = lhs[u / static_cast<std::size_t>(q)];
         const DenseBlock& p = rhs[u % static_cast<std::size_t>(q)];
-        linalg::MinPlusUpdate(a, p, out[u]);
+        linalg::MinPlusUpdate(a, p, out[u], config.kernel);
       };
-      if (v == KernelVariant::kTiledParallel) {
-        linalg::KernelThreadPool().ParallelForTasks(
+      if (config.kernel.pool != nullptr) {
+        config.kernel.pool->ParallelForTasks(
             static_cast<std::size_t>(q * q), run_one);
       } else {
         for (std::size_t u = 0; u < static_cast<std::size_t>(q * q); ++u) {
@@ -155,8 +145,7 @@ TEST(SchedulerScaling, IndependentBlockUpdateBatchBitwise) {
         test::ExpectBitwiseEqual(
             out[u], expected[u],
             std::string("batch b=") + std::to_string(b) + " update " +
-                std::to_string(u) + " variant=" +
-                linalg::KernelVariantName(v));
+                std::to_string(u) + " kernel=" + config.name);
       }
     }
   }
@@ -182,18 +171,18 @@ TEST(SchedulerScaling, TinyBlockBatchMergesGrainsAndStaysBitwise) {
                                      0.3);
     DenseBlock oracle = base;
     linalg::MinPlusAccumulateRawNaive(b, b, b, lhs.data(), b, rhs.data(), b,
-                                      oracle.mutable_data(), b);
+                                      oracle.mutable_data(), b,
+                                      linalg::SemiringId::kMinPlus);
     expected.push_back(std::move(oracle));
     updates.push_back({linalg::MakeRef(std::move(base)),
                        linalg::MakeRef(std::move(lhs)),
                        linalg::MakeRef(std::move(rhs))});
   }
 
-  sparklet::SparkletContext ctx(test::TestCluster());
-  for (KernelVariant v : kAllVariants) {
-    ScopedKernelVariant scope(v);
+  for (const NamedKernel& config : KernelConfigs()) {
+    sparklet::SparkletContext ctx(test::TestCluster(config.kernel));
     // Sanity: the floor is live for this layout (each 8^3 update is cheap).
-    ASSERT_GT(linalg::GetKernelTuning().task_grain_floor_seconds, 0.0);
+    ASSERT_GT(config.kernel.task_grain_floor_seconds, 0.0);
     auto tc = ctx.MakeTaskContext();
     auto batch_updates = updates;  // refs: copying the batch is free
     auto out = apsp::MinPlusIntoBatch(std::move(batch_updates), tc);
@@ -202,7 +191,7 @@ TEST(SchedulerScaling, TinyBlockBatchMergesGrainsAndStaysBitwise) {
       test::ExpectBitwiseEqual(
           *out[u], expected[u],
           std::string("tiny-b batch update ") + std::to_string(u) +
-              " variant=" + linalg::KernelVariantName(v));
+              " kernel=" + config.name);
     }
   }
 }
@@ -215,9 +204,8 @@ TEST(SchedulerScaling, SolversTinyBlocksUnderGrainMerging) {
       graph::ErdosRenyi(64, 0.15, {1.0, 10.0}, /*seed=*/5150));
   DenseBlock oracle = g.ToDenseAdjacency();
   linalg::ReferenceFloydWarshall(oracle);
-  for (KernelVariant v : kAllVariants) {
-    auto cluster = test::TestCluster();
-    cluster.kernel_variant = v;
+  for (const NamedKernel& config : KernelConfigs()) {
+    const auto cluster = test::TestCluster(config.kernel);
     for (SolverKind kind :
          {SolverKind::kBlockedInMemory, SolverKind::kBlockedCollectBroadcast}) {
       ApspOptions opts;
@@ -226,8 +214,8 @@ TEST(SchedulerScaling, SolversTinyBlocksUnderGrainMerging) {
       ASSERT_TRUE(result.status.ok()) << result.status.ToString();
       test::ExpectBitwiseEqual(*result.distances, oracle,
                                std::string("tiny-b ") +
-                                   apsp::SolverKindName(kind) + " variant=" +
-                                   linalg::KernelVariantName(v));
+                                   apsp::SolverKindName(kind) + " kernel=" +
+                                   config.name);
     }
   }
 }
@@ -235,14 +223,13 @@ TEST(SchedulerScaling, SolversTinyBlocksUnderGrainMerging) {
 // --- solver level -----------------------------------------------------------
 
 /// Solves `g` at block size 8 (q >= 8 for every n >= 64 here) under each
-/// kernel variant and checks the distance matrix bitwise against the scalar
+/// kernel config and checks the distance matrix bitwise against the scalar
 /// oracle.
 void ExpectSolversMatchOracle(const graph::Graph& g, const std::string& label) {
   DenseBlock oracle = g.ToDenseAdjacency();
   linalg::ReferenceFloydWarshall(oracle);
-  for (KernelVariant v : kAllVariants) {
-    auto cluster = test::TestCluster();
-    cluster.kernel_variant = v;
+  for (const NamedKernel& config : KernelConfigs()) {
+    const auto cluster = test::TestCluster(config.kernel);
     for (SolverKind kind :
          {SolverKind::kBlockedInMemory, SolverKind::kBlockedCollectBroadcast}) {
       ApspOptions opts;
@@ -253,8 +240,7 @@ void ExpectSolversMatchOracle(const graph::Graph& g, const std::string& label) {
       ASSERT_TRUE(result.distances.has_value()) << label;
       test::ExpectBitwiseEqual(*result.distances, oracle,
                                label + " " + apsp::SolverKindName(kind) +
-                                   " variant=" +
-                                   linalg::KernelVariantName(v));
+                                   " kernel=" + config.name);
     }
   }
 }
@@ -302,17 +288,15 @@ TEST(SchedulerScaling, KsourceSmallBlocksMatchesOracleColumns) {
                    oracle.At(sources[j], v));
     }
   }
-  for (KernelVariant variant : kAllVariants) {
-    auto cluster = test::TestCluster();
-    cluster.kernel_variant = variant;
+  for (const NamedKernel& config : KernelConfigs()) {
+    const auto cluster = test::TestCluster(config.kernel);
     apsp::ApspOptions opts;
     opts.block_size = 8;  // q = 10
     auto result = apsp::Solve(g, test::KsspRequest(sources, opts, cluster)).run;
     ASSERT_TRUE(result.status.ok()) << result.status.ToString();
     ASSERT_TRUE(result.distances.has_value());
     test::ExpectBitwiseEqual(*result.distances, expected,
-                             std::string("ksource variant=") +
-                                 linalg::KernelVariantName(variant));
+                             std::string("ksource kernel=") + config.name);
   }
 }
 

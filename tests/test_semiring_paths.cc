@@ -23,7 +23,6 @@ namespace {
 using linalg::BooleanSemiring;
 using linalg::DenseBlock;
 using linalg::kInf;
-using linalg::KernelVariant;
 using linalg::MaxMinSemiring;
 using linalg::MaxTimesSemiring;
 using linalg::MinPlusSemiring;
@@ -33,9 +32,8 @@ constexpr SemiringId kAllSemirings[] = {SemiringId::kMinPlus,
                                         SemiringId::kBoolean,
                                         SemiringId::kMaxMin,
                                         SemiringId::kMaxTimes};
-constexpr KernelVariant kAllVariants[] = {KernelVariant::kNaive,
-                                          KernelVariant::kTiled,
-                                          KernelVariant::kTiledParallel};
+using test::KernelConfigs;
+using test::NamedKernel;
 
 /// Scalar per-semiring oracle: ingest the min-plus adjacency into the
 /// algebra and run the triple-loop closure. Everything the fused engine
@@ -78,7 +76,7 @@ TEST(Semiring, MinPlusInstantiationMatchesDedicatedKernel) {
     b.mutable_data()[i] = rng.NextDouble() < 0.2 ? kInf : rng.NextDouble(0, 9);
   }
   EXPECT_TRUE(linalg::SemiringProduct<MinPlusSemiring>(a, b).ApproxEquals(
-      linalg::MinPlusProduct(a, b)));
+      linalg::MinPlusProduct(a, b, linalg::KernelTuning{})));
 }
 
 TEST(Semiring, ClosureMatchesFloydWarshall) {
@@ -86,7 +84,7 @@ TEST(Semiring, ClosureMatchesFloydWarshall) {
   DenseBlock a = g.ToDenseAdjacency();
   DenseBlock b = a;
   linalg::SemiringClosure<MinPlusSemiring>(a);
-  linalg::FloydWarshallInPlace(b);
+  linalg::FloydWarshallInPlace(b, linalg::KernelTuning{});
   EXPECT_TRUE(a.ApproxEquals(b));
 }
 
@@ -423,11 +421,11 @@ TEST(KsourceEarlyExit, SkipIsBitwiseNoOpInEverySemiring) {
 }
 
 // ---------------------------------------------------------------------------
-// Per-semiring randomized property suites: every fused variant bitwise
+// Per-semiring randomized property suites: every kernel config bitwise
 // against the scalar oracle.
 // ---------------------------------------------------------------------------
 
-TEST(SemiringEngine, FusedProductMatchesOracleAcrossVariants) {
+TEST(SemiringEngine, FusedProductMatchesOracleAcrossConfigs) {
   const std::uint64_t seed = 101;
   APSPARK_SEEDED_CASE(seed);
   Xoshiro256 rng(seed);
@@ -440,19 +438,16 @@ TEST(SemiringEngine, FusedProductMatchesOracleAcrossVariants) {
     for (const SemiringId id : kAllSemirings) {
       const DenseBlock base = linalg::SemiringAdjacency(adj, id);
       const DenseBlock expected = OracleProduct(id, base, base);
-      for (const KernelVariant variant : kAllVariants) {
-        linalg::ScopedKernelVariant kernel_scope(variant);
-        linalg::ScopedSemiring semiring_scope(id);
+      for (const NamedKernel& config : KernelConfigs(id)) {
         test::ExpectBitwiseEqual(
-            linalg::MinPlusProduct(base, base), expected,
-            std::string(linalg::SemiringName(id)) + "/" +
-                linalg::KernelVariantName(variant));
+            linalg::MinPlusProduct(base, base, config.kernel), expected,
+            std::string(linalg::SemiringName(id)) + "/" + config.name);
       }
     }
   }
 }
 
-TEST(SemiringEngine, FusedClosureMatchesOracleAcrossVariants) {
+TEST(SemiringEngine, FusedClosureMatchesOracleAcrossConfigs) {
   const std::uint64_t seed = 202;
   APSPARK_SEEDED_CASE(seed);
   Xoshiro256 rng(seed);
@@ -464,23 +459,20 @@ TEST(SemiringEngine, FusedClosureMatchesOracleAcrossVariants) {
     const DenseBlock adj = g.ToDenseAdjacency();
     for (const SemiringId id : kAllSemirings) {
       const DenseBlock expected = OracleClosure(adj, id);
-      for (const KernelVariant variant : kAllVariants) {
-        linalg::ScopedKernelVariant kernel_scope(variant);
-        linalg::ScopedSemiring semiring_scope(id);
+      for (const NamedKernel& config : KernelConfigs(id)) {
         DenseBlock m = linalg::SemiringAdjacency(adj, id);
-        linalg::FloydWarshallInPlace(m);
+        linalg::FloydWarshallInPlace(m, config.kernel);
         test::ExpectBitwiseEqual(
             m, expected,
-            std::string(linalg::SemiringName(id)) + "/" +
-                linalg::KernelVariantName(variant));
+            std::string(linalg::SemiringName(id)) + "/" + config.name);
       }
     }
   }
 }
 
-TEST(SemiringEngine, BlockedSolversMatchOracleAcrossVariants) {
+TEST(SemiringEngine, BlockedSolversMatchOracleAcrossConfigs) {
   // Solver-level lock: the full blocked engine (decompose, shuffle, fused
-  // phases, assemble) under every kernel variant reproduces the scalar
+  // phases, assemble) under every kernel config reproduces the scalar
   // oracle bitwise in all four algebras. Block size 20 against n up to 66
   // keeps non-divisible edge tiles in play.
   const std::uint64_t seed = 303;
@@ -494,9 +486,10 @@ TEST(SemiringEngine, BlockedSolversMatchOracleAcrossVariants) {
     const DenseBlock expected_adj = g.ToDenseAdjacency();
     for (const SemiringId id : kAllSemirings) {
       const DenseBlock expected = OracleClosure(expected_adj, id);
-      for (const KernelVariant variant : kAllVariants) {
-        auto cluster = test::TestCluster();
-        cluster.kernel_variant = variant;
+      // The cluster's configs carry min-plus: the solve must evaluate the
+      // request's semiring regardless.
+      for (const NamedKernel& config : KernelConfigs()) {
+        const auto cluster = test::TestCluster(config.kernel);
         apsp::ApspOptions opts;
         opts.block_size = 20;
         opts.semiring = id;
@@ -506,8 +499,7 @@ TEST(SemiringEngine, BlockedSolversMatchOracleAcrossVariants) {
             << linalg::SemiringName(id) << ": " << result.status.ToString();
         test::ExpectBitwiseEqual(
             *result.distances, expected,
-            std::string(linalg::SemiringName(id)) + "/" +
-                linalg::KernelVariantName(variant));
+            std::string(linalg::SemiringName(id)) + "/" + config.name);
       }
     }
   }
@@ -585,7 +577,8 @@ TEST(BitpackedBoolean, KernelsMatchDenseImages) {
   const std::uint64_t seed = 606;
   APSPARK_SEEDED_CASE(seed);
   Xoshiro256 rng(seed);
-  linalg::ScopedSemiring semiring_scope(SemiringId::kBoolean);
+  linalg::KernelTuning kernel;
+  kernel.semiring = SemiringId::kBoolean;
   // Odd shapes exercise the tail-word masking (cols % 64 != 0).
   for (const std::int64_t n : {7LL, 64LL, 70LL, 129LL}) {
     const DenseBlock a = RandomBooleanDense(rng, n, n);
@@ -593,33 +586,36 @@ TEST(BitpackedBoolean, KernelsMatchDenseImages) {
     const DenseBlock pa = a.BitPacked();
     const DenseBlock pb = b.BitPacked();
     // Product.
-    const DenseBlock dense_prod = linalg::MinPlusProduct(a, b);
-    const DenseBlock packed_prod = linalg::MinPlusProduct(pa, pb);
+    const DenseBlock dense_prod = linalg::MinPlusProduct(a, b, kernel);
+    const DenseBlock packed_prod = linalg::MinPlusProduct(pa, pb, kernel);
     EXPECT_TRUE(packed_prod.is_packed());
     test::ExpectBitwiseEqual(packed_prod.Unpacked(), dense_prod, "product");
     // Closure.
     DenseBlock dc = a;
     DenseBlock pc = pa;
-    linalg::FloydWarshallInPlace(dc);
-    linalg::FloydWarshallInPlace(pc);
+    linalg::FloydWarshallInPlace(dc, kernel);
+    linalg::FloydWarshallInPlace(pc, kernel);
     EXPECT_TRUE(pc.is_packed());
     test::ExpectBitwiseEqual(pc.Unpacked(), dc, "closure");
     // Element-wise or.
-    test::ExpectBitwiseEqual(linalg::ElementMin(pa, pb).Unpacked(),
-                             linalg::ElementMin(a, b), "element");
+    test::ExpectBitwiseEqual(linalg::ElementMin(pa, pb, kernel).Unpacked(),
+                             linalg::ElementMin(a, b, kernel), "element");
     // Round trips.
     test::ExpectBitwiseEqual(a.BitPacked().Unpacked(), a, "roundtrip");
   }
 }
 
 TEST(BitpackedBoolean, MixedRepresentationsAreRejected) {
-  linalg::ScopedSemiring semiring_scope(SemiringId::kBoolean);
+  linalg::KernelTuning kernel;
+  kernel.semiring = SemiringId::kBoolean;
   const DenseBlock dense(8, 8, 0.0);
   const DenseBlock packed = DenseBlock::PackedBoolean(8, 8);
-  EXPECT_THROW(linalg::MinPlusProduct(dense, packed), std::invalid_argument);
+  EXPECT_THROW(linalg::MinPlusProduct(dense, packed, kernel),
+               std::invalid_argument);
   // Packed blocks under a non-boolean semiring make no sense.
-  linalg::SetActiveSemiring(SemiringId::kMaxMin);
-  EXPECT_THROW(linalg::MinPlusProduct(packed, packed), std::invalid_argument);
+  kernel.semiring = SemiringId::kMaxMin;
+  EXPECT_THROW(linalg::MinPlusProduct(packed, packed, kernel),
+               std::invalid_argument);
 }
 
 TEST(BitpackedBoolean, SerializationIsAtLeast8xSmallerAndRoundTrips) {

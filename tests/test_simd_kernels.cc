@@ -20,6 +20,7 @@
 #include "linalg/kernel_registry.h"
 #include "linalg/kernels.h"
 #include "linalg/semiring.h"
+#include "test_support.h"
 
 namespace apspark::linalg {
 namespace {
@@ -137,24 +138,31 @@ TEST(SimdDispatch, DescribeKernelTuningMentionsIsaAndTiles) {
             std::string::npos);
 }
 
-/// Runs MinPlusAccumulateRawTiled on copies of (a, b, c0) under `isa` and
-/// returns the accumulated C.
-DenseBlock RunTiled(SimdIsa isa, const DenseBlock& a, const DenseBlock& b,
-                    const DenseBlock& c0, bool parallel = false) {
-  ScopedSimdIsa pin(isa);
+/// Kernel config evaluating `id` on `isa`, inline or on the test pool.
+KernelTuning Config(SemiringId id, SimdIsa isa, bool parallel = false) {
+  KernelTuning kernel;
+  kernel.semiring = id;
+  kernel.isa = isa;
+  if (parallel) kernel.pool = &test::TestKernelPool();
+  return kernel;
+}
+
+/// Runs MinPlusAccumulateRaw on copies of (a, b, c0) under `id` and `isa`
+/// and returns the accumulated C.
+DenseBlock RunTiled(SemiringId id, SimdIsa isa, const DenseBlock& a,
+                    const DenseBlock& b, const DenseBlock& c0,
+                    bool parallel = false) {
   DenseBlock c = c0;
-  MinPlusAccumulateRawTiled(a.rows(), b.cols(), a.cols(), a.data(), a.cols(),
-                            b.data(), b.cols(), c.mutable_data(), c.cols(),
-                            parallel);
+  MinPlusAccumulateRaw(a.rows(), b.cols(), a.cols(), a.data(), a.cols(),
+                       b.data(), b.cols(), c.mutable_data(), c.cols(),
+                       Config(id, isa, parallel));
   return c;
 }
 
-DenseBlock RunPanel(SimdIsa isa, const DenseBlock& a, const DenseBlock& b,
-                    const DenseBlock& c0) {
-  ScopedSimdIsa pin(isa);
+DenseBlock RunPanel(SemiringId id, SimdIsa isa, const DenseBlock& a,
+                    const DenseBlock& b, const DenseBlock& c0) {
   DenseBlock c = c0;
-  MinPlusPanelRawTiled(a.rows(), b.cols(), a.cols(), a.data(), a.cols(),
-                       b.data(), b.cols(), c.mutable_data(), c.cols());
+  MinPlusUpdateRect(a, b, c, Config(id, isa));
   return c;
 }
 
@@ -162,7 +170,6 @@ TEST(SimdKernels, TiledBitwiseAcrossIsasAllSemiringsAllShapes) {
   const auto isas = AvailableIsas();
   std::uint64_t seed = 100;
   for (const SemiringId id : kAllSemirings) {
-    ScopedSemiring ring(id);
     for (const Shape& s : kShapes) {
       const DenseBlock a = InDomainBlock(id, s.m, s.k, ++seed);
       const DenseBlock b = InDomainBlock(id, s.k, s.n, ++seed);
@@ -174,13 +181,13 @@ TEST(SimdKernels, TiledBitwiseAcrossIsasAllSemiringsAllShapes) {
         using S = decltype(ring_tag);
         SemiringProductAccumulate<S>(a, b, oracle);
       });
-      const DenseBlock scalar = RunTiled(SimdIsa::kScalar, a, b, c0);
+      const DenseBlock scalar = RunTiled(id, SimdIsa::kScalar, a, b, c0);
       ASSERT_TRUE(BitwiseEqual(scalar, oracle))
           << "scalar tiled vs oracle, semiring=" << SemiringName(id)
           << " shape=" << s.m << "x" << s.n << "x" << s.k;
 
       for (const SimdIsa isa : isas) {
-        const DenseBlock got = RunTiled(isa, a, b, c0);
+        const DenseBlock got = RunTiled(id, isa, a, b, c0);
         ASSERT_TRUE(BitwiseEqual(got, scalar))
             << "isa=" << SimdIsaName(isa) << " semiring=" << SemiringName(id)
             << " shape=" << s.m << "x" << s.n << "x" << s.k;
@@ -197,7 +204,6 @@ TEST(SimdKernels, TiledBitwiseWithStridedLeadingDimensions) {
   const std::int64_t lda = k + 5, ldb = n + 3, ldc = n + 7;
   std::uint64_t seed = 500;
   for (const SemiringId id : kAllSemirings) {
-    ScopedSemiring ring(id);
     std::vector<double> a(static_cast<std::size_t>(m * lda));
     std::vector<double> b(static_cast<std::size_t>(k * ldb));
     std::vector<double> c0(static_cast<std::size_t>(m * ldc));
@@ -206,18 +212,12 @@ TEST(SimdKernels, TiledBitwiseWithStridedLeadingDimensions) {
     FillInDomain(id, c0.data(), static_cast<std::int64_t>(c0.size()), ++seed);
 
     std::vector<double> scalar = c0;
-    {
-      ScopedSimdIsa pin(SimdIsa::kScalar);
-      MinPlusAccumulateRawTiled(m, n, k, a.data(), lda, b.data(), ldb,
-                                scalar.data(), ldc);
-    }
+    MinPlusAccumulateRaw(m, n, k, a.data(), lda, b.data(), ldb, scalar.data(),
+                         ldc, Config(id, SimdIsa::kScalar));
     for (const SimdIsa isa : isas) {
       std::vector<double> c = c0;
-      {
-        ScopedSimdIsa pin(isa);
-        MinPlusAccumulateRawTiled(m, n, k, a.data(), lda, b.data(), ldb,
-                                  c.data(), ldc);
-      }
+      MinPlusAccumulateRaw(m, n, k, a.data(), lda, b.data(), ldb, c.data(),
+                           ldc, Config(id, isa));
       ASSERT_EQ(std::memcmp(c.data(), scalar.data(),
                             c.size() * sizeof(double)),
                 0)
@@ -231,16 +231,15 @@ TEST(SimdKernels, PanelBitwiseAcrossIsas) {
   const auto isas = AvailableIsas();
   std::uint64_t seed = 900;
   for (const SemiringId id : kAllSemirings) {
-    ScopedSemiring ring(id);
     for (const std::int64_t n : {1, 3, 8, 17, 31}) {
       for (const std::int64_t m : {1, 33, 64}) {
         const std::int64_t k = 47;
         const DenseBlock a = InDomainBlock(id, m, k, ++seed);
         const DenseBlock b = InDomainBlock(id, k, n, ++seed);
         const DenseBlock c0 = InDomainBlock(id, m, n, ++seed);
-        const DenseBlock scalar = RunPanel(SimdIsa::kScalar, a, b, c0);
+        const DenseBlock scalar = RunPanel(id, SimdIsa::kScalar, a, b, c0);
         for (const SimdIsa isa : isas) {
-          const DenseBlock got = RunPanel(isa, a, b, c0);
+          const DenseBlock got = RunPanel(id, isa, a, b, c0);
           ASSERT_TRUE(BitwiseEqual(got, scalar))
               << "isa=" << SimdIsaName(isa)
               << " semiring=" << SemiringName(id) << " panel m=" << m
@@ -258,7 +257,6 @@ TEST(SimdKernels, AllAnnihilatorOperandsLeaveCUnchanged) {
   const auto isas = AvailableIsas();
   std::uint64_t seed = 1500;
   for (const SemiringId id : kAllSemirings) {
-    ScopedSemiring ring(id);
     const double zero = SemiringZeroValue(id);
     const std::int64_t m = 13, n = 29, k = 11;
     const DenseBlock live_a = InDomainBlock(id, m, k, ++seed, 0.0);
@@ -267,13 +265,13 @@ TEST(SimdKernels, AllAnnihilatorOperandsLeaveCUnchanged) {
     const DenseBlock dead_b(k, n, zero);
     const DenseBlock c0 = InDomainBlock(id, m, n, ++seed, 0.0);
     for (const SimdIsa isa : isas) {
-      ASSERT_TRUE(BitwiseEqual(RunTiled(isa, dead_a, live_b, c0), c0))
+      ASSERT_TRUE(BitwiseEqual(RunTiled(id, isa, dead_a, live_b, c0), c0))
           << "dead A, isa=" << SimdIsaName(isa)
           << " semiring=" << SemiringName(id);
-      ASSERT_TRUE(BitwiseEqual(RunTiled(isa, live_a, dead_b, c0), c0))
+      ASSERT_TRUE(BitwiseEqual(RunTiled(id, isa, live_a, dead_b, c0), c0))
           << "dead B, isa=" << SimdIsaName(isa)
           << " semiring=" << SemiringName(id);
-      ASSERT_TRUE(BitwiseEqual(RunPanel(isa, dead_a, live_b, c0), c0))
+      ASSERT_TRUE(BitwiseEqual(RunPanel(id, isa, dead_a, live_b, c0), c0))
           << "panel dead A, isa=" << SimdIsaName(isa)
           << " semiring=" << SemiringName(id);
     }
@@ -282,14 +280,14 @@ TEST(SimdKernels, AllAnnihilatorOperandsLeaveCUnchanged) {
 
 TEST(SimdKernels, ParallelStripingBitwiseAcrossIsas) {
   const auto isas = AvailableIsas();
-  ScopedSemiring ring(SemiringId::kMinPlus);
   const DenseBlock a = InDomainBlock(SemiringId::kMinPlus, 200, 170, 21);
   const DenseBlock b = InDomainBlock(SemiringId::kMinPlus, 170, 190, 22);
   const DenseBlock c0 = InDomainBlock(SemiringId::kMinPlus, 200, 190, 23);
+  constexpr SemiringId id = SemiringId::kMinPlus;
   const DenseBlock serial_scalar =
-      RunTiled(SimdIsa::kScalar, a, b, c0, /*parallel=*/false);
+      RunTiled(id, SimdIsa::kScalar, a, b, c0, /*parallel=*/false);
   for (const SimdIsa isa : isas) {
-    ASSERT_TRUE(BitwiseEqual(RunTiled(isa, a, b, c0, /*parallel=*/true),
+    ASSERT_TRUE(BitwiseEqual(RunTiled(id, isa, a, b, c0, /*parallel=*/true),
                              serial_scalar))
         << "parallel stripes, isa=" << SimdIsaName(isa);
   }
@@ -299,7 +297,6 @@ TEST(SimdKernels, PackedBooleanDoesNotRouteThroughSimd) {
   // Bit-packed boolean blocks use the word-parallel or/and kernels, which
   // must be unaffected by the ISA knob and agree with the dense result.
   const auto isas = AvailableIsas();
-  ScopedSemiring ring(SemiringId::kBoolean);
   const std::int64_t m = 37, n = 130, k = 66;  // non-multiple-of-64 words
   const DenseBlock dense_a = InDomainBlock(SemiringId::kBoolean, m, k, 31);
   const DenseBlock dense_b = InDomainBlock(SemiringId::kBoolean, k, n, 32);
@@ -312,18 +309,16 @@ TEST(SimdKernels, PackedBooleanDoesNotRouteThroughSimd) {
     for (std::int64_t j = 0; j < n; ++j) packed_b.Set(i, j, dense_b.At(i, j));
   }
 
-  const DenseBlock dense_ref = [&] {
-    ScopedSimdIsa pin(SimdIsa::kScalar);
-    return MinPlusProduct(dense_a, dense_b);
-  }();
+  const DenseBlock dense_ref = MinPlusProduct(
+      dense_a, dense_b, Config(SemiringId::kBoolean, SimdIsa::kScalar));
   for (const SimdIsa isa : isas) {
-    ScopedSimdIsa pin(isa);
-    const DenseBlock packed = MinPlusProduct(packed_a, packed_b);
+    const KernelTuning kernel = Config(SemiringId::kBoolean, isa);
+    const DenseBlock packed = MinPlusProduct(packed_a, packed_b, kernel);
     ASSERT_TRUE(packed.is_packed());
     const DenseBlock unpacked = packed.Unpacked();
     ASSERT_TRUE(BitwiseEqual(unpacked, dense_ref))
         << "packed boolean, isa=" << SimdIsaName(isa);
-    const DenseBlock dense = MinPlusProduct(dense_a, dense_b);
+    const DenseBlock dense = MinPlusProduct(dense_a, dense_b, kernel);
     ASSERT_TRUE(BitwiseEqual(dense, dense_ref))
         << "dense boolean, isa=" << SimdIsaName(isa);
   }
@@ -337,7 +332,6 @@ TEST(SimdKernels, BlockedFloydWarshallBitwiseAcrossIsas) {
   // k-i-j reference — it reorders float additions — matching the contract
   // the existing BlockedFwSweep suite asserts.)
   const auto isas = AvailableIsas();
-  ScopedSemiring ring(SemiringId::kMinPlus);
   for (const std::int64_t n : {96, 97}) {  // block-divisible and ragged
     DenseBlock init = InDomainBlock(SemiringId::kMinPlus, n, n, 41, 0.3);
     for (std::int64_t i = 0; i < n; ++i) init.Set(i, i, 0.0);
@@ -347,22 +341,20 @@ TEST(SimdKernels, BlockedFloydWarshallBitwiseAcrossIsas) {
 
     DenseBlock blocked_scalar = init;
     DenseBlock in_place_scalar = init;
-    {
-      ScopedSimdIsa pin(SimdIsa::kScalar);
-      BlockedFloydWarshall(blocked_scalar, 32);
-      FloydWarshallInPlace(in_place_scalar);
-    }
+    const KernelTuning scalar = Config(SemiringId::kMinPlus, SimdIsa::kScalar);
+    BlockedFloydWarshall(blocked_scalar, 32, scalar);
+    FloydWarshallInPlace(in_place_scalar, scalar);
     EXPECT_TRUE(blocked_scalar.ApproxEquals(ref, 1e-9)) << "n=" << n;
     EXPECT_TRUE(in_place_scalar.ApproxEquals(ref, 1e-9)) << "n=" << n;
 
     for (const SimdIsa isa : isas) {
-      ScopedSimdIsa pin(isa);
+      const KernelTuning kernel = Config(SemiringId::kMinPlus, isa);
       DenseBlock blocked = init;
-      BlockedFloydWarshall(blocked, 32);
+      BlockedFloydWarshall(blocked, 32, kernel);
       ASSERT_TRUE(BitwiseEqual(blocked, blocked_scalar))
           << "blocked FW n=" << n << " isa=" << SimdIsaName(isa);
       DenseBlock in_place = init;
-      FloydWarshallInPlace(in_place);
+      FloydWarshallInPlace(in_place, kernel);
       ASSERT_TRUE(BitwiseEqual(in_place, in_place_scalar))
           << "FW in-place n=" << n << " isa=" << SimdIsaName(isa);
     }
@@ -379,7 +371,7 @@ TEST(AutoTune, DeriveReproducesStaticDefaultsOnReferenceMachine) {
   ref.l2_bytes = 2 * 1024 * 1024;
   ref.l3_bytes = 32 * 1024 * 1024;
   KernelTuning base;
-  base.variant = KernelVariant::kTiledParallel;
+  base.pool = &test::TestKernelPool();
   base.semiring = SemiringId::kMaxMin;
   base.isa = SimdIsa::kScalar;
   const KernelTuning derived = DeriveKernelTuning(ref, base);
@@ -388,7 +380,7 @@ TEST(AutoTune, DeriveReproducesStaticDefaultsOnReferenceMachine) {
   EXPECT_EQ(derived.fw_block, 128);
   EXPECT_TRUE(derived.auto_tuned);
   // Non-geometry fields ride through unchanged.
-  EXPECT_EQ(derived.variant, KernelVariant::kTiledParallel);
+  EXPECT_EQ(derived.pool, &test::TestKernelPool());
   EXPECT_EQ(derived.semiring, SemiringId::kMaxMin);
   EXPECT_EQ(derived.isa, SimdIsa::kScalar);
 }
@@ -430,9 +422,11 @@ TEST(AutoTune, DetectCacheHierarchyReportsPositiveSizes) {
 
 TEST(AutoTune, DeterministicGivenSeedWithoutRace) {
   ResetAutoTuneMemoForTest();
-  const KernelTuning first = KernelTuning::AutoTune(7, /*confirm_race=*/false);
+  const KernelTuning first =
+      KernelTuning::AutoTune(KernelTuning{}, 7, /*confirm_race=*/false);
   ResetAutoTuneMemoForTest();
-  const KernelTuning second = KernelTuning::AutoTune(7, /*confirm_race=*/false);
+  const KernelTuning second =
+      KernelTuning::AutoTune(KernelTuning{}, 7, /*confirm_race=*/false);
   EXPECT_EQ(first.tile_j, second.tile_j);
   EXPECT_EQ(first.tile_k, second.tile_k);
   EXPECT_EQ(first.fw_block, second.fw_block);
@@ -442,23 +436,27 @@ TEST(AutoTune, DeterministicGivenSeedWithoutRace) {
 
 TEST(AutoTune, MemoizesPerSeed) {
   ResetAutoTuneMemoForTest();
-  const KernelTuning first = KernelTuning::AutoTune(9, /*confirm_race=*/false);
+  const KernelTuning first =
+      KernelTuning::AutoTune(KernelTuning{}, 9, /*confirm_race=*/false);
   // Same (seed, race) without a reset: served from the memo, so necessarily
   // the same geometry even if timing noise would have differed.
-  const KernelTuning again = KernelTuning::AutoTune(9, /*confirm_race=*/false);
+  const KernelTuning again =
+      KernelTuning::AutoTune(KernelTuning{}, 9, /*confirm_race=*/false);
   EXPECT_EQ(first.tile_j, again.tile_j);
   EXPECT_EQ(first.tile_k, again.tile_k);
   EXPECT_EQ(first.fw_block, again.fw_block);
   ResetAutoTuneMemoForTest();
 }
 
-TEST(AutoTune, PreservesCallerVariantSemiringIsa) {
+TEST(AutoTune, PreservesBaseSemiringIsaPool) {
   ResetAutoTuneMemoForTest();
-  ScopedSemiring ring(SemiringId::kMaxTimes);
-  ScopedSimdIsa pin(SimdIsa::kScalar);
-  SetKernelVariant(KernelVariant::kNaive);
-  const KernelTuning tuned = KernelTuning::AutoTune(11, /*confirm_race=*/false);
-  EXPECT_EQ(tuned.variant, KernelVariant::kNaive);
+  KernelTuning base;
+  base.semiring = SemiringId::kMaxTimes;
+  base.isa = SimdIsa::kScalar;
+  base.pool = &test::TestKernelPool();
+  const KernelTuning tuned =
+      KernelTuning::AutoTune(base, 11, /*confirm_race=*/false);
+  EXPECT_EQ(tuned.pool, &test::TestKernelPool());
   EXPECT_EQ(tuned.semiring, SemiringId::kMaxTimes);
   EXPECT_EQ(tuned.isa, SimdIsa::kScalar);
   ResetAutoTuneMemoForTest();
@@ -470,17 +468,11 @@ TEST(AutoTune, RacedGeometryKeepsBitwiseLock) {
   // bitwise on all four semirings (the race itself verifies candidates; this
   // re-checks the winner end to end from the caller's side).
   ResetAutoTuneMemoForTest();
-  const KernelTuning tuned = KernelTuning::AutoTune(42, /*confirm_race=*/true);
-  const KernelTuning saved = GetKernelTuning();
-  KernelTuning active = saved;
-  active.tile_j = tuned.tile_j;
-  active.tile_k = tuned.tile_k;
-  active.fw_block = tuned.fw_block;
-  SetKernelTuning(active);
+  const KernelTuning tuned =
+      KernelTuning::AutoTune(KernelTuning{}, 42, /*confirm_race=*/true);
 
   std::uint64_t seed = 7000;
   for (const SemiringId id : kAllSemirings) {
-    ScopedSemiring ring(id);
     const DenseBlock a = InDomainBlock(id, 61, 83, ++seed);
     const DenseBlock b = InDomainBlock(id, 83, 77, ++seed);
     const DenseBlock c0 = InDomainBlock(id, 61, 77, ++seed);
@@ -490,12 +482,17 @@ TEST(AutoTune, RacedGeometryKeepsBitwiseLock) {
       SemiringProductAccumulate<S>(a, b, oracle);
     });
     for (const SimdIsa isa : AvailableIsas()) {
-      ASSERT_TRUE(BitwiseEqual(RunTiled(isa, a, b, c0), oracle))
+      KernelTuning kernel = tuned;
+      kernel.semiring = id;
+      kernel.isa = isa;
+      DenseBlock c = c0;
+      MinPlusAccumulateRaw(61, 77, 83, a.data(), 83, b.data(), 77,
+                           c.mutable_data(), 77, kernel);
+      ASSERT_TRUE(BitwiseEqual(c, oracle))
           << "tuned geometry, isa=" << SimdIsaName(isa)
           << " semiring=" << SemiringName(id);
     }
   }
-  SetKernelTuning(saved);
   ResetAutoTuneMemoForTest();
 }
 

@@ -3,9 +3,9 @@
 // Every randomized suite draws its inputs from the generators here with a
 // fixed per-case seed, and reports that seed on failure (APSPARK_SEEDED_CASE)
 // so any red CI run can be replayed locally from the log alone. The block
-// comparator checks *bitwise* equality — the kernel registry's guarantee is
-// that every variant applies (min, +) candidates in the same order, so
-// matching within a tolerance would mask real divergence.
+// comparator checks *bitwise* equality — the kernels' guarantee is that
+// every config (ISA, tiles, inline or pooled) applies (min, +) candidates in
+// the same order, so matching within a tolerance would mask real divergence.
 #pragma once
 
 #include <gtest/gtest.h>
@@ -19,9 +19,11 @@
 #include "apsp/api.h"
 #include "common/bytes.h"
 #include "common/rng.h"
+#include "common/thread_pool.h"
 #include "graph/generators.h"
 #include "graph/graph.h"
 #include "linalg/dense_block.h"
+#include "linalg/kernel_registry.h"
 #include "sparklet/config.h"
 
 /// Prints the case's RNG seed on any assertion failure inside the enclosing
@@ -36,6 +38,37 @@ namespace apspark::test {
 inline sparklet::ClusterConfig TestCluster() {
   auto cfg = sparklet::ClusterConfig::TinyTest();
   cfg.local_storage_bytes = 16ULL * kGiB;
+  return cfg;
+}
+
+/// Hardware-concurrency pool the suites' pooled kernel configs fan out on.
+inline ThreadPool& TestKernelPool() {
+  static ThreadPool pool(0);
+  return pool;
+}
+
+/// One named kernel config of an equivalence sweep.
+struct NamedKernel {
+  const char* name;
+  linalg::KernelTuning kernel;
+};
+
+/// The two threading configs every equivalence suite sweeps, under
+/// `semiring`: kernels inline ("tiled") and fanned out on TestKernelPool
+/// ("tiled_parallel"). Both must reproduce the scalar oracles bitwise.
+inline std::vector<NamedKernel> KernelConfigs(
+    linalg::SemiringId semiring = linalg::SemiringId::kMinPlus) {
+  linalg::KernelTuning inline_kernel;
+  inline_kernel.semiring = semiring;
+  linalg::KernelTuning pooled = inline_kernel;
+  pooled.pool = &TestKernelPool();
+  return {{"tiled", inline_kernel}, {"tiled_parallel", pooled}};
+}
+
+/// TestCluster whose executors run their kernels under `kernel`.
+inline sparklet::ClusterConfig TestCluster(const linalg::KernelTuning& kernel) {
+  auto cfg = TestCluster();
+  cfg.kernel = kernel;
   return cfg;
 }
 

@@ -20,6 +20,7 @@
 #include <cstring>
 #include <fstream>
 #include <limits>
+#include <memory>
 #include <optional>
 #include <string>
 #include <vector>
@@ -28,6 +29,7 @@
 #include "apsp/persist.h"
 #include "apsp/tuner.h"
 #include "common/rng.h"
+#include "common/thread_pool.h"
 #include "common/time_utils.h"
 #include "graph/generators.h"
 #include "graph/io.h"
@@ -128,12 +130,15 @@ struct Args {
   int intra_task_cores = 1;
   bool directed = false;
   bool fault_tolerant = false;
+  /// tiled (kernels run inline) | tiled_parallel (on a host thread pool).
   std::string kernel = "tiled";
   /// Micro-kernel ISA: scalar|avx2|avx512|auto (auto = CPUID-detected best,
   /// or APSPARK_FORCE_ISA). Pin `--isa scalar` when bisecting a kernel bug.
   std::string isa = "auto";
   /// Probe the host caches and self-tune the kernel tile geometry.
   bool autotune = false;
+  /// What --kernel / --isa / --autotune resolve to (ClusterConfig::kernel).
+  linalg::KernelTuning tuning;
   std::string semiring = "minplus";
   bool no_bitpack = false;
   std::string ksource_variant = "staged";
@@ -185,7 +190,8 @@ void UsageSolve() {
       "          shuffle-replicated panels\n"
       "  [--no-early-exit]  disable the all-infinite pivot\n"
       "          early-exit sweep (k-source mode)\n"
-      "  [--kernel naive|tiled|tiled_parallel]\n"
+      "  [--kernel tiled|tiled_parallel]  run kernels inline or on a\n"
+      "          host thread pool (bitwise-identical results)\n"
       "  [--isa scalar|avx2|avx512|auto]  micro-kernel instruction set\n"
       "          (auto = CPUID-detected best; all choices are bitwise-\n"
       "          identical — pin scalar when bisecting a kernel bug)\n"
@@ -277,10 +283,11 @@ int UsageTop() {
   return 2;
 }
 
-/// Resolves --isa / --autotune into the process-global kernel tuning before
-/// a run (solvers pick it up through the registry). Returns false, after
-/// printing an error, on an unknown ISA name.
-bool ApplyKernelTuningFlags(const Args& args) {
+/// Resolves --kernel / --isa / --autotune into args.tuning, the kernel
+/// config every request of this run carries. --kernel tiled_parallel
+/// creates `pool` (hardware-concurrency workers) for it. Returns false,
+/// after printing an error, on an unknown ISA or kernel name.
+bool ResolveKernelFlags(Args& args, std::unique_ptr<ThreadPool>& pool) {
   const auto isa = linalg::ParseSimdIsa(args.isa);
   if (!isa.has_value()) {
     std::fprintf(stderr,
@@ -288,21 +295,24 @@ bool ApplyKernelTuningFlags(const Args& args) {
                  args.isa.c_str());
     return false;
   }
-  linalg::KernelTuning tuning = args.autotune
-                                    ? linalg::KernelTuning::AutoTune()
-                                    : linalg::GetKernelTuning();
-  tuning.isa = *isa;
-  linalg::SetKernelTuning(tuning);
+  if (args.kernel != "tiled" && args.kernel != "tiled_parallel") {
+    std::fprintf(stderr,
+                 "apspark: unknown --kernel '%s' (want tiled|tiled_parallel)\n",
+                 args.kernel.c_str());
+    return false;
+  }
+  if (args.autotune) args.tuning = linalg::KernelTuning::AutoTune(args.tuning);
+  args.tuning.isa = *isa;
+  if (args.kernel == "tiled_parallel") {
+    pool = std::make_unique<ThreadPool>(0);
+    args.tuning.pool = pool.get();
+  }
   return true;
 }
 
-/// The solve-banner / plan line recording what geometry and ISA actually
-/// ran. `variant` overrides the registry variant in the rendering when the
-/// caller selects one per run (--kernel), which solvers apply at solve time.
-void PrintKernelTuning(
-    std::optional<linalg::KernelVariant> variant = std::nullopt) {
-  linalg::KernelTuning tuning = linalg::GetKernelTuning();
-  if (variant.has_value()) tuning.variant = *variant;
+/// The solve-banner / plan line recording the threading, ISA and geometry
+/// that ran.
+void PrintKernelTuning(const linalg::KernelTuning& tuning) {
   std::printf("kernels: %s\n", linalg::DescribeKernelTuning(tuning).c_str());
 }
 
@@ -695,6 +705,18 @@ void PrintRecovery(const sparklet::SimMetrics& m) {
   }
 }
 
+/// Names the injected membership plans whose stage lay past the job's end;
+/// the run itself is unaffected.
+void WarnUnfiredPlans(const apsp::ApspRunResult& run) {
+  std::string names;
+  for (const std::string& plan : run.unfired_plans) {
+    names += (names.empty() ? "" : ", ") + plan;
+  }
+  if (names.empty()) return;
+  std::fprintf(stderr, "apspark: warning: injected plans never fired: %s\n",
+               names.c_str());
+}
+
 /// Resolves --ksource-variant, including the adaptive "auto" choice from
 /// the modelled staged-vs-shuffle cost (apsp/tuner.h).
 Result<apsp::KsourceVariant> ResolveKsourceVariant(
@@ -787,12 +809,7 @@ Result<apsp::SolveRequest> BuildSolveRequest(const Args& args,
   cluster.nodes = std::max(1, args.cores / 2);
   cluster.cores_per_node = 2;
   cluster.local_storage_bytes = 64ULL * kGiB;
-  const auto kernel = linalg::ParseKernelVariant(args.kernel);
-  if (!kernel.has_value()) {
-    return InvalidArgumentError("unknown kernel variant '" + args.kernel +
-                                "'");
-  }
-  cluster.kernel_variant = *kernel;
+  cluster.kernel = args.tuning;
   Status common = ApplyCommonFlags(args, g.num_vertices(), request);
   if (!common.ok()) return common;
   return request;
@@ -827,7 +844,7 @@ int PrintSolveReport(const Args& args, const graph::Graph& g,
                 linalg::SemiringName(options.semiring),
                 BitPacked(options) ? " bit-packed" : "");
   }
-  PrintKernelTuning(request.cluster.kernel_variant);
+  PrintKernelTuning(request.cluster.kernel);
   if (!report.ok()) return Fail(report.status());
   std::printf("done: %lld %s, simulated cluster time %s\n",
               static_cast<long long>(report.run.rounds_executed),
@@ -839,6 +856,7 @@ int PrintSolveReport(const Args& args, const graph::Graph& g,
   std::printf("host: wall=%.3fs rss=%.1fMiB\n", wall_seconds, PeakRssMib());
   if (kssp) PrintMemory(report.metrics());
   PrintRecovery(report.metrics());
+  WarnUnfiredPlans(report.run);
   if (!EmitRunMetrics(args, report.metrics())) return 1;
   if (!args.output.empty()) {
     if (!WriteDenseBlock(args.output, *report.distances())) return 1;
@@ -897,7 +915,7 @@ int RunPlan(const Args& args) {
   request.require_fault_tolerance = args.fault_tolerant;
   auto choice = apsp::TuneConfiguration(request);
   if (!choice.ok()) return Fail(choice.status());
-  PrintKernelTuning();
+  PrintKernelTuning(args.tuning);
   std::printf("recommended: %s, b = %lld, %s partitioner -> ~%s\n",
               apsp::SolverKindName(choice->solver),
               static_cast<long long>(choice->block_size),
@@ -912,6 +930,7 @@ Result<apsp::SolveRequest> BuildModelRequest(const Args& args) {
   request.options.max_rounds = args.rounds > 0 ? args.rounds : 1;
   request.cluster = sparklet::ClusterConfig::PaperWithCores(
       args.cores > 4 ? args.cores : 1024);
+  request.cluster.kernel = args.tuning;
   Status common = ApplyCommonFlags(args, args.n, request);
   if (!common.ok()) return common;
   return request;
@@ -951,6 +970,7 @@ int PrintModelReport(const Args& args, const apsp::SolveRequest& request,
   std::printf("engine: %s\n", report.metrics().Summary().c_str());
   if (request.sources.has_value()) PrintMemory(report.metrics());
   PrintRecovery(report.metrics());
+  WarnUnfiredPlans(report.run);
   if (!EmitRunMetrics(args, report.metrics())) return 1;
   return report.ok() ? 0 : Fail(report.status());
 }
@@ -1125,7 +1145,10 @@ int main(int argc, char** argv) {
     if (args.command_name.empty()) return UsageTop();
     return Usage(args);
   }
-  if (args.command != kServe && !ApplyKernelTuningFlags(args)) return 2;
+  std::unique_ptr<ThreadPool> kernel_pool;  // --kernel tiled_parallel
+  if (args.command != kServe && !ResolveKernelFlags(args, kernel_pool)) {
+    return 2;
+  }
   if (!args.trace_file.empty()) obs::Tracer::Get().Start();
   int rc = 2;
   switch (args.command) {
