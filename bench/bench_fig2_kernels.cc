@@ -13,7 +13,7 @@
 // the MinPlus and FloydWarshall building blocks, checks
 // the min-plus results are bitwise-identical to the scalar reference, and
 // writes machine-readable results to BENCH_kernels.json (path overridable
-// via APSPARK_BENCH_JSON) so every future PR is measured against this one.
+// via APSPARK_BENCH_JSON), which bench/check_gates.py holds to its bars.
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
@@ -23,13 +23,15 @@
 
 // Section 3 races the work-stealing block-task scheduler on one task
 // batch's worth of independent block updates (q^2 updates at b = 128, the
-// small-block layout that row striping alone cannot scale) and gates the
-// speedup on multi-core hosts.
+// small-block layout that row striping alone cannot scale); the work-stealing
+// record exists only on multi-core hosts.
 // Section 4 races the semiring engine: the fused closure in each algebra
 // (one generic engine, four instantiations), and the headline bit-packed
 // boolean record — word-parallel or/and closure vs the dense-double boolean
 // closure at the same b. The bit-packed record is the tracked headline in
-// BENCH_kernels.json and is gated by check_regression.sh.
+// BENCH_kernels.json.
+// Section 5 races the SIMD backends against forced-scalar dispatch and
+// marks the host's best non-scalar backend with "host_best": true.
 #include "bench_util.h"
 #include "common/rng.h"
 #include "common/thread_pool.h"
@@ -67,6 +69,7 @@ struct KernelResult {
   double gops = 0;          // b^3 / seconds / 1e9
   double speedup = 1.0;     // vs the naive reference at the same b
   bool bitwise_equal = true;  // vs the scalar reference result
+  bool host_best = false;  // minplus_simd: the host's best non-scalar ISA
 };
 
 /// Times fn() `reps` times and returns the best (minimum) wall time.
@@ -82,29 +85,19 @@ double BestOf(int reps, Fn&& fn) {
   return best;
 }
 
-void WriteJson(const std::vector<KernelResult>& results,
-               const std::string& path) {
-  std::FILE* f = std::fopen(path.c_str(), "w");
-  if (f == nullptr) {
-    std::fprintf(stderr, "cannot write %s\n", path.c_str());
-    return;
+std::vector<std::string> JsonRecords(
+    const std::vector<KernelResult>& results) {
+  std::vector<std::string> records;
+  for (const KernelResult& r : results) {
+    records.push_back(bench::Record(
+        "{\"kernel\": \"%s\", \"variant\": \"%s\", \"b\": %lld, "
+        "\"seconds\": %.6f, \"gops\": %.3f, \"speedup_vs_naive\": %.2f, "
+        "\"bitwise_equal_to_reference\": %s%s}",
+        r.kernel.c_str(), r.variant.c_str(), static_cast<long long>(r.b),
+        r.seconds, r.gops, r.speedup, r.bitwise_equal ? "true" : "false",
+        r.host_best ? ", \"host_best\": true" : ""));
   }
-  std::fprintf(f, "{\n  \"benchmark\": \"bench_fig2_kernels\",\n");
-  std::fprintf(f, "  \"results\": [\n");
-  for (std::size_t i = 0; i < results.size(); ++i) {
-    const KernelResult& r = results[i];
-    std::fprintf(f,
-                 "    {\"kernel\": \"%s\", \"variant\": \"%s\", \"b\": %lld, "
-                 "\"seconds\": %.6f, \"gops\": %.3f, \"speedup_vs_naive\": "
-                 "%.2f, \"bitwise_equal_to_reference\": %s}%s\n",
-                 r.kernel.c_str(), r.variant.c_str(),
-                 static_cast<long long>(r.b), r.seconds, r.gops, r.speedup,
-                 r.bitwise_equal ? "true" : "false",
-                 i + 1 == results.size() ? "" : ",");
-  }
-  std::fprintf(f, "  ]\n}\n");
-  std::fclose(f);
-  std::printf("\nresults written to %s\n", path.c_str());
+  return records;
 }
 
 /// Kernel config of a race: scalar ISA, inline or on `pool`.
@@ -309,6 +302,17 @@ std::vector<KernelResult> RunSchedulerComparison(ThreadPool& pool) {
                 static_cast<long long>(r.b),
                 FormatSeconds(r.seconds, 3).c_str(), r.gops, r.speedup,
                 r.bitwise_equal ? "yes" : "NO");
+    if (!r.bitwise_equal) {
+      std::fprintf(stderr, "FAIL: sched_batch %s b=%lld not bitwise equal\n",
+                   r.variant.c_str(), static_cast<long long>(r.b));
+      std::exit(1);
+    }
+    // On a single-core host both modes run the same sequential loop, so the
+    // work-stealing speedup means nothing: no record, so no speed gate.
+    if (r.variant == "work_steal" && pool.num_threads() <= 1) {
+      std::printf("note: work_steal not recorded (single-core host)\n");
+      continue;
+    }
     results.push_back(r);
   }
   return results;
@@ -485,6 +489,8 @@ std::vector<KernelResult> RunSimdComparison(std::int64_t max_b) {
     r.gops = ops / r.seconds / 1e9;
     r.speedup = scalar_seconds / r.seconds;
     r.bitwise_equal = BitwiseEqual(out, scalar_out);
+    r.host_best =
+        isa == linalg::DetectSimdIsa() && isa != linalg::SimdIsa::kScalar;
     std::printf("%16s %8lld %16s %16s %10.3f %9.2fx  %s\n", r.kernel.c_str(),
                 static_cast<long long>(r.b), r.variant.c_str(),
                 FormatSeconds(r.seconds, 3).c_str(), r.gops, r.speedup,
@@ -561,147 +567,23 @@ int main() {
                  semiring_results.end());
   const auto simd_results = RunSimdComparison(max_measured);
   results.insert(results.end(), simd_results.begin(), simd_results.end());
-  const char* json_path = std::getenv("APSPARK_BENCH_JSON");
-  WriteJson(results, json_path != nullptr ? json_path : "BENCH_kernels.json");
-
-  // Fail loudly if the tiled engine regressed below the 2x bar this PR set,
-  // or if any min-plus variant stopped being bit-exact. Shared CI runners
-  // are noisy (2 reps, no -march=native), so the threshold can be relaxed
-  // via APSPARK_GATE_MIN_SPEEDUP there; the default is the local bar.
-  double min_speedup = 2.0;
-  if (const char* env = std::getenv("APSPARK_GATE_MIN_SPEEDUP")) {
-    min_speedup = std::atof(env);
-  }
-  bool gate_evaluated = false;
-  for (const KernelResult& r : results) {
-    if (r.kernel == "minplus" && !r.bitwise_equal) {
-      std::fprintf(stderr, "FAIL: %s %s b=%lld not bitwise equal\n",
-                   r.kernel.c_str(), r.variant.c_str(),
-                   static_cast<long long>(r.b));
-      return 1;
-    }
-    if (r.kernel == "minplus" && r.variant == "tiled" && r.b == 1024) {
-      gate_evaluated = true;
-      if (r.speedup < min_speedup) {
-        std::fprintf(stderr,
-                     "FAIL: tiled minplus speedup %.2fx < %.2fx at b=1024\n",
-                     r.speedup, min_speedup);
-        return 1;
-      }
-    }
-  }
-  if (!gate_evaluated) {
-    std::printf("note: perf gate NOT evaluated (b=1024 not measured; "
-                "APSPARK_FIG2_MAX_B=%lld)\n",
-                static_cast<long long>(max_measured));
+  if (!bench::WriteBenchJson("bench_fig2_kernels", JsonRecords(results),
+                             "BENCH_kernels.json")) {
+    return 1;
   }
 
-  // Scheduler gate (ISSUE 3 acceptance): work stealing across a task
-  // batch's block updates must beat row-striping-only at b = 128, q >= 8 on
-  // a multi-core host — on a single-core host both modes degenerate to the
-  // same sequential execution and the ratio is meaningless. Bitwise
-  // equality is gated unconditionally.
-  double sched_min_speedup = 1.3;
-  if (const char* env = std::getenv("APSPARK_GATE_SCHED_SPEEDUP")) {
-    sched_min_speedup = std::atof(env);
-  }
+  // Correctness: every record but blocked Floyd-Warshall (last-ulp
+  // reordering, checked against the reference in Section 2) must be
+  // bitwise-equal to its scalar oracle. Speed bars live in
+  // bench/check_gates.py.
   for (const KernelResult& r : results) {
-    if (r.kernel != "sched_batch") continue;
-    if (!r.bitwise_equal) {
-      std::fprintf(stderr, "FAIL: sched_batch %s b=%lld not bitwise equal\n",
-                   r.variant.c_str(), static_cast<long long>(r.b));
-      return 1;
-    }
-    if (r.variant != "work_steal") continue;
-    if (pool.num_threads() <= 1) {
-      std::printf("note: scheduler gate NOT evaluated (single-core host)\n");
-    } else if (r.speedup < sched_min_speedup) {
-      std::fprintf(stderr,
-                   "FAIL: work-stealing speedup %.2fx < %.2fx over "
-                   "row striping (b=%lld, q=8)\n",
-                   r.speedup, sched_min_speedup,
-                   static_cast<long long>(r.b));
-      return 1;
-    }
-  }
-
-  // Semiring-engine gate: every algebra's fused closure must stay bit-exact
-  // against its scalar oracle, and the headline bit-packed boolean closure
-  // must beat the dense boolean plane (word-parallel or/and retires 64 lanes
-  // per op; 2x is a deliberately loose floor for noisy shared runners,
-  // overridable via APSPARK_GATE_BITPACK_SPEEDUP).
-  double bitpack_min_speedup = 2.0;
-  if (const char* env = std::getenv("APSPARK_GATE_BITPACK_SPEEDUP")) {
-    bitpack_min_speedup = std::atof(env);
-  }
-  bool bitpack_gate_evaluated = false;
-  for (const KernelResult& r : results) {
-    const bool semiring_record =
-        r.kernel.rfind("semiring_", 0) == 0 || r.kernel == "boolean_packed";
-    if (!semiring_record) continue;
-    if (!r.bitwise_equal) {
+    if (r.kernel != "floyd_warshall" && !r.bitwise_equal) {
       std::fprintf(stderr, "FAIL: %s %s b=%lld not bitwise equal to its "
                    "scalar oracle\n",
                    r.kernel.c_str(), r.variant.c_str(),
                    static_cast<long long>(r.b));
       return 1;
     }
-    if (r.kernel == "boolean_packed" && r.variant == "bitpacked" &&
-        r.b == 1024) {
-      bitpack_gate_evaluated = true;
-      if (r.speedup < bitpack_min_speedup) {
-        std::fprintf(stderr,
-                     "FAIL: bit-packed boolean closure speedup %.2fx < %.2fx "
-                     "vs dense at b=1024\n",
-                     r.speedup, bitpack_min_speedup);
-        return 1;
-      }
-    }
-  }
-  if (!bitpack_gate_evaluated && max_measured >= 1024) {
-    std::fprintf(stderr, "FAIL: bit-packed boolean record missing\n");
-    return 1;
-  }
-
-  // SIMD micro-kernel gate: every ISA record must be bitwise-equal to the
-  // forced-scalar run (unconditional), and the host's best SIMD backend must
-  // beat forced-scalar tiled by 1.3x at b = 1024 (the micro-tile acceptance
-  // bar; overridable via APSPARK_GATE_SIMD_SPEEDUP for noisy shared
-  // runners). Hosts whose best ISA is scalar skip the speed half — the
-  // record set degenerates to the scalar baseline alone.
-  double simd_min_speedup = 1.3;
-  if (const char* env = std::getenv("APSPARK_GATE_SIMD_SPEEDUP")) {
-    simd_min_speedup = std::atof(env);
-  }
-  const char* best_isa_name = linalg::SimdIsaName(linalg::DetectSimdIsa());
-  bool simd_gate_evaluated = false;
-  for (const KernelResult& r : results) {
-    if (r.kernel != "minplus_simd") continue;
-    if (!r.bitwise_equal) {
-      std::fprintf(stderr,
-                   "FAIL: minplus_simd %s b=%lld not bitwise equal to "
-                   "forced-scalar dispatch\n",
-                   r.variant.c_str(), static_cast<long long>(r.b));
-      return 1;
-    }
-    if (r.variant == best_isa_name && r.variant != std::string("scalar") &&
-        r.b >= 1024) {
-      simd_gate_evaluated = true;
-      if (r.speedup < simd_min_speedup) {
-        std::fprintf(stderr,
-                     "FAIL: SIMD (%s) minplus speedup %.2fx < %.2fx vs "
-                     "forced-scalar tiled at b=%lld\n",
-                     r.variant.c_str(), r.speedup, simd_min_speedup,
-                     static_cast<long long>(r.b));
-        return 1;
-      }
-    }
-  }
-  if (!simd_gate_evaluated) {
-    std::printf("note: SIMD gate NOT evaluated (%s)\n",
-                linalg::DetectSimdIsa() == linalg::SimdIsa::kScalar
-                    ? "host best ISA is scalar"
-                    : "b=1024 not measured");
   }
   return 0;
 }

@@ -15,14 +15,13 @@
 // the kernel registry (the projected per-block kernel cost follows the
 // resolved KernelTuning), and writes one JSON record per (solver,
 // partitioner, B, b) cell to BENCH_fig3.json (APSPARK_BENCH_JSON overrides)
-// so check_regression.sh --bench fig3 can gate the tracked CB/MD record.
-// Model times are virtual (deterministic cost projections), so the gate is
-// stable across hosts.
+// so bench/check_gates.py can gate the tracked CB/MD record. Model times are
+// virtual (deterministic cost projections), so the gate is stable across
+// hosts.
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <cstdio>
-#include <cstdlib>
 #include <string>
 #include <vector>
 
@@ -46,31 +45,6 @@ struct CellResult {
   double model_seconds = 0;  // projected virtual time (0 when infeasible)
   bool storage_ok = true;
 };
-
-void WriteJson(const std::vector<CellResult>& results,
-               const std::string& path) {
-  std::FILE* f = std::fopen(path.c_str(), "w");
-  if (f == nullptr) {
-    std::fprintf(stderr, "cannot write %s\n", path.c_str());
-    return;
-  }
-  std::fprintf(f, "{\n  \"benchmark\": \"bench_fig3_blocksize\",\n");
-  std::fprintf(f, "  \"results\": [\n");
-  for (std::size_t i = 0; i < results.size(); ++i) {
-    const CellResult& r = results[i];
-    std::fprintf(f,
-                 "    {\"section\": \"fig3\", \"solver\": \"%s\", "
-                 "\"partitioner\": \"%s\", \"B\": %d, \"b\": %lld, "
-                 "\"model_seconds\": %.6f, \"storage_ok\": %s}%s\n",
-                 r.solver.c_str(), r.partitioner.c_str(),
-                 r.over_decomposition, static_cast<long long>(r.b),
-                 r.model_seconds, r.storage_ok ? "true" : "false",
-                 i + 1 == results.size() ? "" : ",");
-  }
-  std::fprintf(f, "  ]\n}\n");
-  std::fclose(f);
-  std::printf("\nresults written to %s\n", path.c_str());
-}
 
 }  // namespace
 
@@ -166,8 +140,20 @@ int main() {
       " are flat\nwhile PH skews badly on upper-triangular keys (Fig. 3 "
       "bottom).\n");
 
-  const char* json_path = std::getenv("APSPARK_BENCH_JSON");
-  WriteJson(results, json_path != nullptr ? json_path : "BENCH_fig3.json");
+  std::vector<std::string> records;
+  for (const CellResult& r : results) {
+    records.push_back(bench::Record(
+        "{\"section\": \"fig3\", \"solver\": \"%s\", "
+        "\"partitioner\": \"%s\", \"B\": %d, \"b\": %lld, "
+        "\"model_seconds\": %.6f, \"storage_ok\": %s}",
+        r.solver.c_str(), r.partitioner.c_str(), r.over_decomposition,
+        static_cast<long long>(r.b), r.model_seconds,
+        r.storage_ok ? "true" : "false"));
+  }
+  if (!bench::WriteBenchJson("bench_fig3_blocksize", records,
+                             "BENCH_fig3.json")) {
+    return 1;
+  }
 
   // Sanity gate: the paper's tracked cell — Blocked-CB with the
   // multi-diagonal partitioner, B = 2, b = 1024 — must be feasible.

@@ -14,9 +14,9 @@
 // solve: the naive loops are a kernel baseline, not a solve kernel.
 //
 // Machine-readable results go to BENCH_ksource.json (override via
-// APSPARK_BENCH_JSON). The bench exits non-zero if any variant loses bitwise
-// equality or if the tiled kernel drops below the naive baseline's
-// throughput (gate overridable via APSPARK_GATE_MIN_SPEEDUP).
+// APSPARK_BENCH_JSON); bench/check_gates.py holds the tiled rect kernel at
+// b = 1024, k = 64 and the shuffle-plane driver peak to their bars. The
+// bench exits non-zero if any variant loses bitwise equality.
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
@@ -78,7 +78,7 @@ struct KsResult {
   double speedup = 1.0;    // vs naive at the same shape
   bool bitwise_equal = true;
   /// Driver live-bytes high water of the modelled run (solve section only) —
-  /// a deterministic byte count, gated by check_regression.sh --metric peak.
+  /// a deterministic byte count, gated by bench/check_gates.py.
   std::uint64_t driver_peak_bytes = 0;
   /// Fault-injection section: the recovery trajectory of a solve with an
   /// injected executor loss (deterministic modelled quantities).
@@ -88,39 +88,27 @@ struct KsResult {
   std::uint64_t job_restarts = 0;
 };
 
-void WriteJson(const std::vector<KsResult>& results, const std::string& path) {
-  std::FILE* f = std::fopen(path.c_str(), "w");
-  if (f == nullptr) {
-    std::fprintf(stderr, "cannot write %s\n", path.c_str());
-    return;
+std::vector<std::string> JsonRecords(const std::vector<KsResult>& results) {
+  std::vector<std::string> records;
+  for (const KsResult& r : results) {
+    records.push_back(bench::Record(
+        "{\"section\": \"%s\", \"variant\": \"%s\", "
+        "\"data_plane\": \"%s\", \"b\": %lld, \"k\": %lld, "
+        "\"seconds\": %.6f, \"gops\": %.3f, \"speedup_vs_naive\": %.2f, "
+        "\"driver_peak_bytes\": %llu, \"recovery_seconds\": %.6f, "
+        "\"recomputed_tasks\": %llu, \"task_retries\": %llu, "
+        "\"job_restarts\": %llu, \"bitwise_equal_to_reference\": %s}",
+        r.section.c_str(), r.variant.c_str(), r.data_plane.c_str(),
+        static_cast<long long>(r.b), static_cast<long long>(r.k), r.seconds,
+        r.gops, r.speedup,
+        static_cast<unsigned long long>(r.driver_peak_bytes),
+        r.recovery_seconds,
+        static_cast<unsigned long long>(r.recomputed_tasks),
+        static_cast<unsigned long long>(r.task_retries),
+        static_cast<unsigned long long>(r.job_restarts),
+        r.bitwise_equal ? "true" : "false"));
   }
-  std::fprintf(f, "{\n  \"benchmark\": \"bench_ksource\",\n");
-  std::fprintf(f, "  \"results\": [\n");
-  for (std::size_t i = 0; i < results.size(); ++i) {
-    const KsResult& r = results[i];
-    std::fprintf(f,
-                 "    {\"section\": \"%s\", \"variant\": \"%s\", "
-                 "\"data_plane\": \"%s\", \"b\": %lld, "
-                 "\"k\": %lld, \"seconds\": %.6f, \"gops\": %.3f, "
-                 "\"speedup_vs_naive\": %.2f, "
-                 "\"driver_peak_bytes\": %llu, "
-                 "\"recovery_seconds\": %.6f, \"recomputed_tasks\": %llu, "
-                 "\"task_retries\": %llu, \"job_restarts\": %llu, "
-                 "\"bitwise_equal_to_reference\": %s}%s\n",
-                 r.section.c_str(), r.variant.c_str(), r.data_plane.c_str(),
-                 static_cast<long long>(r.b), static_cast<long long>(r.k),
-                 r.seconds, r.gops, r.speedup,
-                 static_cast<unsigned long long>(r.driver_peak_bytes),
-                 r.recovery_seconds,
-                 static_cast<unsigned long long>(r.recomputed_tasks),
-                 static_cast<unsigned long long>(r.task_retries),
-                 static_cast<unsigned long long>(r.job_restarts),
-                 r.bitwise_equal ? "true" : "false",
-                 i + 1 == results.size() ? "" : ",");
-  }
-  std::fprintf(f, "  ]\n}\n");
-  std::fclose(f);
-  std::printf("\nresults written to %s\n", path.c_str());
+  return records;
 }
 
 /// One named kernel config of a race.
@@ -136,7 +124,7 @@ std::vector<Config> Configs(ThreadPool& pool) {
   return {{"tiled", linalg::KernelTuning{}}, {"tiled_parallel", pooled}};
 }
 
-std::vector<KsResult> RunRectKernelRace(std::int64_t max_b, ThreadPool& pool) {
+std::vector<KsResult> RunRectKernelRace(ThreadPool& pool) {
   bench::PrintHeader(
       "Rectangular frontier kernel — C[b x k] = min(C, A[b x b] \xe2\x8a\x97 "
       "P[b x k])\n(naive scalar vs panel-tiled vs panel-tiled+parallel)");
@@ -144,7 +132,6 @@ std::vector<KsResult> RunRectKernelRace(std::int64_t max_b, ThreadPool& pool) {
   std::printf("%8s %6s %16s %16s %10s %10s  %s\n", "b", "k", "variant", "time",
               "Gops", "speedup", "exact");
   for (std::int64_t b : {256, 512, 1024}) {
-    if (b > max_b) continue;
     for (std::int64_t k : {8, 32, 64}) {
       const int reps = b >= 1024 ? 3 : 5;
       // ~20% infinite entries: the sweep's panels are inf-heavy early on.
@@ -363,32 +350,17 @@ std::vector<KsResult> RunFaultRecoveryRace() {
 }  // namespace
 
 int main() {
-  std::int64_t max_b = 1024;
-  if (const char* env = std::getenv("APSPARK_KSOURCE_MAX_B")) {
-    max_b = std::atoll(env);
-  }
   ThreadPool pool(0);  // hardware concurrency: the tiled_parallel records
-  auto results = RunRectKernelRace(max_b, pool);
+  auto results = RunRectKernelRace(pool);
   const auto solve_results = RunSolveRace(pool);
   results.insert(results.end(), solve_results.begin(), solve_results.end());
   const auto fault_results = RunFaultRecoveryRace();
   results.insert(results.end(), fault_results.begin(), fault_results.end());
 
-  const char* json_path = std::getenv("APSPARK_BENCH_JSON");
-  WriteJson(results, json_path != nullptr ? json_path : "BENCH_ksource.json");
-
-  // Gate: the tiled rect kernel must not lose bitwise equality and must at
-  // least match naive throughput at the largest measured shape (ISSUE 2
-  // acceptance: tiled >= naive). Override for noisy shared runners via env.
-  double min_speedup = 1.0;
-  if (const char* env = std::getenv("APSPARK_GATE_MIN_SPEEDUP")) {
-    min_speedup = std::atof(env);
+  if (!bench::WriteBenchJson("bench_ksource", JsonRecords(results),
+                             "BENCH_ksource.json")) {
+    return 1;
   }
-  std::int64_t largest_b = 0;
-  for (const KsResult& r : results) {
-    if (r.section == "rect_kernel") largest_b = std::max(largest_b, r.b);
-  }
-  bool gate_evaluated = false;
   for (const KsResult& r : results) {
     if (r.section == "rect_kernel" && !r.bitwise_equal) {
       std::fprintf(stderr, "FAIL: %s b=%lld k=%lld not bitwise equal\n",
@@ -396,21 +368,6 @@ int main() {
                    static_cast<long long>(r.k));
       return 1;
     }
-    if (r.section == "rect_kernel" && r.variant == "tiled" &&
-        r.b == largest_b && r.k == 64) {
-      gate_evaluated = true;
-      if (r.speedup < min_speedup) {
-        std::fprintf(stderr,
-                     "FAIL: tiled rect kernel speedup %.2fx < %.2fx "
-                     "(b=%lld, k=64)\n",
-                     r.speedup, min_speedup, static_cast<long long>(r.b));
-        return 1;
-      }
-    }
-  }
-  if (!gate_evaluated) {
-    std::printf("note: perf gate NOT evaluated (APSPARK_KSOURCE_MAX_B=%lld)\n",
-                static_cast<long long>(max_b));
   }
   return 0;
 }

@@ -16,14 +16,12 @@
 //     with evictions actually observed (the cap is meant to bind).
 //
 // Machine-readable results go to BENCH_serve.json (override via
-// APSPARK_BENCH_JSON), one JSON object per line so check_regression.sh can
-// grep the tracked record: the "serve" section's Zipf-workload "qps"
-// (higher is better).
+// APSPARK_BENCH_JSON); bench/check_gates.py gates the "serve" section's
+// Zipf-workload "qps" (higher is better).
 #include <algorithm>
 #include <chrono>
 #include <cmath>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <filesystem>
 #include <string>
@@ -280,50 +278,33 @@ int main() {
       FormatBytes(final_stats.peak_resident_bytes).c_str());
 
   // ------------------------------------------------------------------ JSON
-  const char* json_path = std::getenv("APSPARK_BENCH_JSON");
-  const std::string path =
-      json_path != nullptr ? json_path : "BENCH_serve.json";
-  std::FILE* f = std::fopen(path.c_str(), "w");
-  if (f != nullptr) {
-    std::fprintf(f, "{\n  \"benchmark\": \"bench_serve\",\n");
-    std::fprintf(f, "  \"results\": [\n");
-    std::fprintf(f,
-                 "    {\"section\": \"store\", \"n\": %lld, \"b\": %lld, "
-                 "\"blocks\": %zu, \"payload_bytes\": %llu, "
-                 "\"cache_capacity_bytes\": %llu, "
-                 "\"persist_seconds\": %.6f},\n",
-                 static_cast<long long>(kN),
-                 static_cast<long long>(kStoreBlock),
-                 svc.store().manifest().entries.size(),
-                 static_cast<unsigned long long>(payload_bytes),
-                 static_cast<unsigned long long>(
-                     sopts.store_options.cache_capacity_bytes),
-                 persist_seconds);
-    for (std::size_t i = 0; i < results.size(); ++i) {
-      const auto& r = results[i];
-      std::fprintf(f,
-                   "    {\"section\": \"serve\", \"workload\": \"%s\", "
-                   "\"queries\": %lld, \"qps\": %.1f, \"p50_us\": %.3f, "
-                   "\"p99_us\": %.3f, \"cache_hits\": %llu, "
-                   "\"cache_misses\": %llu, \"evictions\": %llu, "
-                   "\"bitwise_equal_to_reference\": %s}%s\n",
-                   r.name.c_str(),
-                   static_cast<long long>(kQueriesPerWorkload), r.qps,
-                   r.p50_us, r.p99_us,
-                   static_cast<unsigned long long>(r.cache_hits),
-                   static_cast<unsigned long long>(r.cache_misses),
-                   static_cast<unsigned long long>(r.evictions),
-                   ok ? "true" : "false",
-                   i + 1 == results.size() ? "" : ",");
-    }
-    std::fprintf(f, "  ]\n}\n");
-    std::fclose(f);
-    std::printf("\nresults written to %s\n", path.c_str());
-  } else {
-    std::fprintf(stderr, "cannot write %s\n", path.c_str());
+  std::vector<std::string> records;
+  records.push_back(bench::Record(
+      "{\"section\": \"store\", \"n\": %lld, \"b\": %lld, "
+      "\"blocks\": %zu, \"payload_bytes\": %llu, "
+      "\"cache_capacity_bytes\": %llu, \"persist_seconds\": %.6f}",
+      static_cast<long long>(kN), static_cast<long long>(kStoreBlock),
+      svc.store().manifest().entries.size(),
+      static_cast<unsigned long long>(payload_bytes),
+      static_cast<unsigned long long>(
+          sopts.store_options.cache_capacity_bytes),
+      persist_seconds));
+  for (const auto& r : results) {
+    records.push_back(bench::Record(
+        "{\"section\": \"serve\", \"workload\": \"%s\", "
+        "\"queries\": %lld, \"qps\": %.1f, \"p50_us\": %.3f, "
+        "\"p99_us\": %.3f, \"cache_hits\": %llu, \"cache_misses\": %llu, "
+        "\"evictions\": %llu, \"bitwise_equal_to_reference\": %s}",
+        r.name.c_str(), static_cast<long long>(kQueriesPerWorkload), r.qps,
+        r.p50_us, r.p99_us, static_cast<unsigned long long>(r.cache_hits),
+        static_cast<unsigned long long>(r.cache_misses),
+        static_cast<unsigned long long>(r.evictions), ok ? "true" : "false"));
   }
+  const bool written =
+      bench::WriteBenchJson("bench_serve", records, "BENCH_serve.json");
 
   std::filesystem::remove_all(dir);
+  if (!written) return 1;
   if (!ok) {
     std::fprintf(stderr,
                  "\nFAIL: serving correctness or cache-cap invariant "
