@@ -1,11 +1,11 @@
 // Shared combine-step wiring of the shuffle-based solvers.
 //
-// Blocked In-Memory (matrix-block keys) and the shuffle-replicated KSSP
-// variant (frontier-panel keys) both gather tagged replicas per target key
-// with the same combineByKey(ListAppend) pattern and both tag resident
-// records for it. This header is the single home of that wiring so the two
-// solvers cannot drift apart (same rationale as solvers/staging.h for the
-// staged protocol).
+// Blocked In-Memory's phase functions (namespace im, matrix-block keys) and
+// the shuffle-replicated KSSP plane's frontier rounds (frontier-panel keys)
+// gather tagged replicas per target key with the same
+// combineByKey(ListAppend) pattern and tag resident records for it. The
+// KSSP plane runs its matrix phases through the im functions themselves;
+// this header is the wiring both key types share.
 #pragma once
 
 #include <string>
@@ -38,12 +38,14 @@ sparklet::RddPtr<std::pair<K, TaggedList>> GatherLists(
       });
 }
 
-/// Tags resident A blocks for the combine steps.
-inline sparklet::RddPtr<TaggedRecord> TagOriginals(
-    sparklet::RddPtr<BlockRecord> rdd, std::string op_name) {
+/// Tags resident records for the combine steps: A blocks (K = BlockKey) or
+/// frontier panels (K = std::int64_t).
+template <typename K>
+sparklet::RddPtr<std::pair<K, TaggedBlock>> TagOriginals(
+    sparklet::RddPtr<std::pair<K, linalg::BlockRef>> rdd, std::string op_name) {
   return rdd->Map(std::move(op_name),
-                  [](const BlockRecord& rec,
-                     sparklet::TaskContext&) -> TaggedRecord {
+                  [](const std::pair<K, linalg::BlockRef>& rec,
+                     sparklet::TaskContext&) -> std::pair<K, TaggedBlock> {
                     return {rec.first, {BlockRole::kOriginal, rec.second}};
                   });
 }

@@ -7,6 +7,8 @@
 #include "apsp/checkpoint.h"
 #include "apsp/combine_steps.h"
 #include "apsp/solver.h"
+#include "apsp/solvers/blocked_collect_broadcast.h"
+#include "apsp/solvers/blocked_inmemory.h"
 #include "apsp/solvers/staging.h"
 #include "linalg/semiring.h"
 
@@ -17,7 +19,6 @@ using linalg::DenseBlock;
 using sparklet::RddPtr;
 using sparklet::TaskContext;
 using staging::BlockCache;
-using staging::ReadPhase3Factors;
 using staging::ReadStagedBlock;
 using staging::StagingKeys;
 
@@ -58,6 +59,8 @@ bool PivotCrossAllZero(RddPtr<BlockRecord>& a, const BlockLayout& layout,
 }
 
 /// Rebuilds A after a skipped pivot: only the closed diagonal changed.
+/// Takes A by value, so the caller's A is replaced only by the returned,
+/// materialized rebuild.
 RddPtr<BlockRecord> RebuildSkipped(sparklet::SparkletContext& ctx,
                                    RddPtr<BlockRecord> a,
                                    RddPtr<BlockRecord> diag,
@@ -67,13 +70,8 @@ RddPtr<BlockRecord> RebuildSkipped(sparklet::SparkletContext& ctx,
                         [t](const BlockRecord& rec) {
                           return !OnDiagonal(rec.first, t);
                         });
-  auto rebuilt = sparklet::PartitionBy(
-                     ctx.Union(prefix + "-skip-union", {diag, rest}), part,
-                     prefix + "-skip-repartition")
-                     ->Persist();
-  rebuilt->EnsureMaterialized();
-  a->Unpersist();
-  return rebuilt;
+  cb::Rebuild(ctx, prefix + "-skip", a, {diag, rest}, std::move(part));
+  return a;
 }
 
 /// One pivot of the staged-storage (impure) sweep. `skip` = early exit.
@@ -82,21 +80,7 @@ void RunStagedPivot(sparklet::SparkletContext& ctx, const BlockLayout& layout,
                     sparklet::PartitionerPtr<BlockKey> block_part,
                     RddPtr<BlockRecord>& a, RddPtr<PanelRecord>& f,
                     bool skip) {
-  const bool directed = layout.directed();
-
-  // --- Phase 1: close the pivot diagonal and stage it.
-  auto diag = a->Filter("ks-diag",
-                        [t](const BlockRecord& rec) {
-                          return OnDiagonal(rec.first, t);
-                        })
-                  ->Map("ks-fw",
-                        [](const BlockRecord& rec, TaskContext& tc) {
-                          return BlockRecord{rec.first,
-                                             FloydWarshall(rec.second, tc)};
-                        });
-  for (const auto& [key, block] : diag->Collect()) {
-    staging::StageBlock(ctx, keys.Diag(t), block);
-  }
+  auto diag = cb::CloseDiagonal(ctx, keys, a, t);
 
   // --- Pivot panel: P_t = min(F_t, A*_tt (min,+) F_t), staged for the
   // frontier sweep below.
@@ -129,69 +113,13 @@ void RunStagedPivot(sparklet::SparkletContext& ctx, const BlockLayout& layout,
             ->Persist();
     f->EnsureMaterialized();
     f_prev->Unpersist();
-    a = RebuildSkipped(ctx, a, diag, block_part, t, "ks");
+    a = RebuildSkipped(ctx, a, diag, block_part, t, keys.prefix());
     return;
   }
 
-  // --- Phase 2: update the column/row cross of the matrix against the
-  // staged diagonal and stage the oriented factors (Alg. 4 lines 5-7).
-  auto rowcol =
-      a->Filter("ks-rowcol",
-                [&layout, t](const BlockRecord& rec) {
-                  return layout.InCross(rec.first, t) &&
-                         !OnDiagonal(rec.first, t);
-                })
-          ->MapPartitions<BlockRecord>(
-              "ks-phase2",
-              [t, keys](std::vector<BlockRecord>&& part, TaskContext& tc) {
-                // Staged reads and charges stay sequential (TaskContext
-                // is driver-thread state); the independent block updates
-                // then run as one stealable intra-task batch.
-                BlockCache cache;
-                std::vector<FusedTriple> updates;
-                updates.reserve(part.size());
-                for (const auto& [key, block] : part) {
-                  BlockRef d = ReadStagedBlock(cache, keys.Diag(t), tc);
-                  updates.push_back(key.J == t
-                                        ? FusedTriple{block, block, d}
-                                        : FusedTriple{block, d, block});
-                }
-                auto blocks = MinPlusIntoBatch(std::move(updates), tc);
-                std::vector<BlockRecord> out;
-                out.reserve(part.size());
-                for (std::size_t r = 0; r < part.size(); ++r) {
-                  out.push_back({part[r].first, std::move(blocks[r])});
-                }
-                return out;
-              });
-  staging::StageCrossFactors(ctx, keys, t, rowcol->Collect(), directed);
-
-  // --- Phase 3: remaining matrix blocks through the staged factors.
-  auto offcol =
-      a->Filter("ks-offcol",
-                [&layout, t](const BlockRecord& rec) {
-                  return !layout.InCross(rec.first, t);
-                })
-          ->MapPartitions<BlockRecord>(
-              "ks-phase3",
-              [t, directed, keys](std::vector<BlockRecord>&& part,
-                                  TaskContext& tc) {
-                BlockCache cache;
-                std::vector<FusedTriple> updates;
-                updates.reserve(part.size());
-                for (const auto& [key, block] : part) {
-                  auto [left, right] = ReadPhase3Factors(
-                      keys, cache, t, key, directed, tc);
-                  updates.push_back({block, left, right});
-                }
-                auto blocks = MinPlusIntoBatch(std::move(updates), tc);
-                std::vector<BlockRecord> out;
-                out.reserve(part.size());
-                for (std::size_t r = 0; r < part.size(); ++r) {
-                  out.push_back({part[r].first, std::move(blocks[r])});
-                }
-                return out;
-              });
+  // --- Matrix phases 2 and 3, exactly as in Blocked-CB.
+  auto rowcol = cb::UpdateCross(ctx, layout, keys, a, t);
+  auto offcol = cb::UpdateOffCross(layout, keys, a, t);
 
   // --- Frontier sweep: every panel through the pivot's column factors.
   // F_I = min(F_I, A_It (min,+) P_t); the pivot panel becomes P_t.
@@ -231,13 +159,7 @@ void RunStagedPivot(sparklet::SparkletContext& ctx, const BlockLayout& layout,
   f_prev->Unpersist();
 
   // --- Rebuild A for the next pivot (Alg. 4 lines 11-12).
-  auto a_prev = a;
-  a = sparklet::PartitionBy(
-          ctx.Union("ks-union", {diag, rowcol, offcol}), block_part,
-          "ks-repartition")
-          ->Persist();
-  a->EnsureMaterialized();
-  a_prev->Unpersist();
+  cb::Rebuild(ctx, keys.prefix(), a, {diag, rowcol, offcol}, block_part);
 }
 
 /// One pivot of the pure shuffle-replicated sweep: the matrix phases run the
@@ -252,15 +174,7 @@ void RunShufflePivot(sparklet::SparkletContext& ctx, const BlockLayout& layout,
   const std::int64_t q = layout.q();
 
   // --- Phase 1: close the pivot diagonal (narrow map; stays in lineage).
-  auto diag = a->Filter("ksp-diag",
-                        [t](const BlockRecord& rec) {
-                          return OnDiagonal(rec.first, t);
-                        })
-                  ->Map("ksp-fw",
-                        [](const BlockRecord& rec, TaskContext& tc) {
-                          return BlockRecord{rec.first,
-                                             FloydWarshall(rec.second, tc)};
-                        });
+  auto diag = im::CloseDiagonal("ksp", a, t);
 
   // --- Frontier round A: pair the closed diagonal with panel t through the
   // shuffle and form the pivot panel P_t = min(F_t, A*_tt (min,+) F_t).
@@ -269,11 +183,7 @@ void RunShufflePivot(sparklet::SparkletContext& ctx, const BlockLayout& layout,
       [t](const BlockRecord& rec, TaskContext&) -> TaggedPanelRecord {
         return {t, {BlockRole::kDiag, rec.second}};
       });
-  auto f_tagged =
-      f->Map("ksp-f-tag",
-             [](const PanelRecord& rec, TaskContext&) -> TaggedPanelRecord {
-               return {rec.first, {BlockRole::kOriginal, rec.second}};
-             });
+  auto f_tagged = TagOriginals(f, "ksp-f-tag");
   auto round_a = GatherLists(
       ctx.Union("ksp-round-a-union", {diag_to_panel, f_tagged}), panel_part,
       "ksp-round-a-combine");
@@ -309,53 +219,14 @@ void RunShufflePivot(sparklet::SparkletContext& ctx, const BlockLayout& layout,
     return;
   }
 
-  // --- Matrix phase 2 (Alg. 3 lines 6-10): diagonal copies meet the cross.
-  auto diag_copies = diag->FlatMap<TaggedRecord>(
-      "ksp-copydiag",
-      [&layout, t](const BlockRecord& rec, TaskContext&,
-                   std::vector<TaggedRecord>& out) {
-        CopyDiag(layout, t, rec.second, out);
-      });
-  auto d0 = sparklet::PartitionBy(diag_copies, block_part, "ksp-copydiag-by");
-  auto rowcol = TagOriginals(
-      a->Filter("ksp-rowcol",
-                [&layout, t](const BlockRecord& rec) {
-                  return layout.InCross(rec.first, t);
-                }),
-      "ksp-rowcol-tag");
-  auto paired = GatherLists(ctx.Union("ksp-phase2-union", {d0, rowcol}),
-                                 block_part, "ksp-phase2-combine");
+  // --- Matrix phases 2 and 3, exactly as in Blocked In-Memory. The updated
+  // cross feeds phase 3 *and* the frontier factors, so it is persisted
+  // before phase 3 builds on it.
   auto updated_cross =
-      paired
-          ->MapPartitions<BlockRecord>(
-              "ksp-phase2-unpack",
-              [&layout, t](std::vector<ListRecord>&& part, TaskContext& tc) {
-                return Phase2UnpackBatch(layout, t, std::move(part), tc);
-              })
-          ->Persist();  // consumed by CopyCol *and* the frontier factors
+      im::UpdateCross(ctx, "ksp", layout, block_part, a, diag, t)->Persist();
   updated_cross->EnsureMaterialized();
-
-  // --- Matrix phase 3 (lines 12-15).
-  auto cross_copies = updated_cross->FlatMap<TaggedRecord>(
-      "ksp-copycol",
-      [&layout, t](const BlockRecord& rec, TaskContext& tc,
-                   std::vector<TaggedRecord>& out) {
-        CopyCol(layout, t, rec, out, tc);
-      });
-  auto d = sparklet::PartitionBy(cross_copies, block_part, "ksp-copycol-by");
-  auto rest = TagOriginals(
-      a->Filter("ksp-offcol",
-                [&layout, t](const BlockRecord& rec) {
-                  return !layout.InCross(rec.first, t);
-                }),
-      "ksp-offcol-tag");
-  auto phase3 = GatherLists(ctx.Union("ksp-phase3-union", {rest, d}),
-                                 block_part, "ksp-phase3-combine");
-  auto updated = phase3->MapPartitions<BlockRecord>(
-      "ksp-phase3-unpack",
-      [&layout, t](std::vector<ListRecord>&& part, TaskContext& tc) {
-        return Phase3UnpackBatch(layout, t, std::move(part), tc);
-      });
+  auto updated =
+      im::UpdateOffCross(ctx, "ksp", layout, block_part, a, updated_cross, t);
 
   // --- Frontier round B: replicate the per-panel left factors A_It (from
   // the phase-2-updated cross) and the pivot panel P_t to every panel, then
@@ -389,11 +260,7 @@ void RunShufflePivot(sparklet::SparkletContext& ctx, const BlockLayout& layout,
                   out.push_back({i, {BlockRole::kCol, rec.second}});
                 }
               });
-  auto fa_tagged = f_a->Map(
-      "ksp-fa-tag",
-      [](const PanelRecord& rec, TaskContext&) -> TaggedPanelRecord {
-        return {rec.first, {BlockRole::kOriginal, rec.second}};
-      });
+  auto fa_tagged = TagOriginals(f_a, "ksp-fa-tag");
   auto round_b = GatherLists(
       ctx.Union("ksp-round-b-union", {fa_tagged, pivot_copies, factor_copies}),
       panel_part, "ksp-round-b-combine");

@@ -3,9 +3,9 @@
 // The paper's building blocks solve APSP; the same blocked min-plus algebra
 // solves the far more common k-source problem as a rectangular n x k
 // frontier F, F(v, j) = dist(sources[j] -> v). The solver sweeps the blocked
-// Floyd-Warshall pivots of A exactly like Algorithm 4 (collect/broadcast)
-// and, per pivot t, folds the pivot's column factors into a *resident*
-// frontier with two rectangular updates:
+// Floyd-Warshall pivots of A with the APSP solvers' own round phases and,
+// per pivot t, folds the pivot's column factors into a *resident* frontier
+// with two rectangular updates:
 //
 //   P_t  = min(F_t, A*_tt (min,+) F_t)        (pivot panel through the
 //                                              closed diagonal)
@@ -21,11 +21,15 @@
 //
 //   kStagedStorage (default) — like Blocked-CB, impure: pivot blocks, column
 //   factors, and the pivot panel travel through shared persistent storage.
+//   The matrix phases are Blocked-CB's (namespace cb in
+//   blocked_collect_broadcast.h); the plane adds only the pivot panel and
+//   the frontier fold.
 //
 //   kShuffleReplicated — *pure*: no shared-storage side channel at all. The
-//   matrix phases run the Blocked In-Memory combine steps (CopyDiag /
-//   Phase2 / CopyCol / Phase3 through custom-partitioned shuffles), and the
-//   frontier factors replicate through the shuffle too: round A pairs the
+//   matrix phases are Blocked In-Memory's (namespace im in
+//   blocked_inmemory.h: CopyDiag / Phase2 / CopyCol / Phase3 through
+//   custom-partitioned shuffles), and the frontier factors replicate
+//   through the shuffle too: round A pairs the
 //   closed diagonal with panel t to form P_t, round B scatters P_t plus the
 //   per-panel left factors A_It to every panel and folds them in with one
 //   rectangular update. Fault-tolerant by construction (everything stays in

@@ -1,14 +1,16 @@
 // Shared staging machinery of the impure solvers.
 //
-// Blocked Collect/Broadcast (Alg. 4) and the batched k-source solver move
+// Blocked Collect/Broadcast (Alg. 4) and the staged k-source plane move
 // pivot data between stages through shared persistent storage rather than
 // the shuffle: the driver collects and stages the closed diagonal block and
 // the updated cross factors of each pivot, and executors read them back
 // inside map tasks (with per-task caching, the way the paper's executors
-// cache deserialized column blocks). This header is the single home of that
-// protocol — key scheme, driver-side writes, executor-side cached reads, and
-// the oriented factor staging with its undirected-transpose derivation — so
-// the two solvers cannot drift apart.
+// cache deserialized column blocks). This header is the protocol — key
+// scheme, driver-side writes, executor-side cached reads, and the oriented
+// factor staging with its undirected-transpose derivation. Blocked-CB's
+// phase functions (namespace cb) are its only users on the matrix side;
+// the k-source plane calls those phases and uses the keys and cached reads
+// directly only for its pivot panel and frontier fold.
 #pragma once
 
 #include <string>
@@ -28,6 +30,9 @@ namespace apspark::apsp::staging {
 class StagingKeys {
  public:
   explicit StagingKeys(std::string prefix) : prefix_(std::move(prefix)) {}
+
+  /// Also the stage-name prefix of the solver's phases ("cb-diag", ...).
+  const std::string& prefix() const { return prefix_; }
 
   std::string Diag(std::int64_t t) const {
     return prefix_ + "/" + std::to_string(t) + "/diag";

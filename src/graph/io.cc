@@ -1,6 +1,7 @@
 #include "graph/io.h"
 
 #include <fstream>
+#include <limits>
 #include <sstream>
 
 #include "common/serial.h"
@@ -10,6 +11,19 @@ namespace apspark::graph {
 namespace {
 constexpr std::uint32_t kBinaryMagic = 0x41505347;  // "APSG"
 constexpr std::uint32_t kBinaryVersion = 1;
+
+/// A vertex count is usable when its dense n x n plane of doubles has a byte
+/// size int64 can hold; every solve sizes that plane from n.
+Status CheckVertexCount(std::int64_t n) {
+  if (n < 0) {
+    return InvalidArgumentError("negative vertex count " + std::to_string(n));
+  }
+  if (n > 0 && n > std::numeric_limits<std::int64_t>::max() / 8 / n) {
+    return InvalidArgumentError("vertex count " + std::to_string(n) +
+                                " too large: its n x n plane overflows");
+  }
+  return Status::Ok();
+}
 }  // namespace
 
 void WriteEdgeListText(const Graph& g, std::ostream& out) {
@@ -33,13 +47,20 @@ Result<Graph> ReadEdgeListText(std::istream& in) {
     if (first == std::string::npos || line[first] == '#') continue;
     std::istringstream fields(line);
     if (n < 0) {
+      const std::string where = "line " + std::to_string(line_no) + ": ";
       std::string tag;
-      int directed_flag = 0;
-      if (!(fields >> tag >> n >> directed_flag) || tag != "apsp" || n < 0) {
-        return InvalidArgumentError("line " + std::to_string(line_no) +
-                                    ": expected header 'apsp <n> <directed>'");
+      std::string directed_flag;
+      if (!(fields >> tag >> n >> directed_flag) || tag != "apsp") {
+        return InvalidArgumentError(where +
+                                    "expected header 'apsp <n> <directed>'");
       }
-      directed = directed_flag != 0;
+      Status valid = CheckVertexCount(n);
+      if (!valid.ok()) return InvalidArgumentError(where + valid.message());
+      if (directed_flag != "0" && directed_flag != "1") {
+        return InvalidArgumentError(where + "directed flag must be 0 or 1, " +
+                                    "got '" + directed_flag + "'");
+      }
+      directed = directed_flag == "1";
       continue;
     }
     Edge e;
@@ -98,8 +119,13 @@ Result<Graph> DeserializeGraph(const std::vector<std::uint8_t>& bytes) {
   }
   auto n = reader.Read<VertexId>();
   if (!n.ok()) return n.status();
+  Status valid = CheckVertexCount(*n);
+  if (!valid.ok()) return valid;
   auto directed = reader.Read<std::uint8_t>();
   if (!directed.ok()) return directed.status();
+  if (*directed > 1) {
+    return InvalidArgumentError("binary graph directed flag must be 0 or 1");
+  }
   auto count = reader.Read<std::uint64_t>();
   if (!count.ok()) return count.status();
   Graph g(*n, *directed != 0);

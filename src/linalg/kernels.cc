@@ -109,11 +109,28 @@ void FloydWarshallRawScalar(std::int64_t n, double* a, std::int64_t lda) {
   }
 }
 
+// The naive loop is the benchmarks' fixed scalar baseline, so compilers are
+// kept from vectorizing it: under -march=native a vectorized baseline would
+// shrink every speedup measured against it, and only on some builds.
+#if defined(__clang__)
+#define APSPARK_SCALAR_FN
+#define APSPARK_SCALAR_LOOP \
+  _Pragma("clang loop vectorize(disable) interleave(disable)")
+#elif defined(__GNUC__)
+#define APSPARK_SCALAR_FN __attribute__((optimize("no-tree-vectorize")))
+#define APSPARK_SCALAR_LOOP
+#else
+#define APSPARK_SCALAR_FN
+#define APSPARK_SCALAR_LOOP
+#endif
+
 /// Fixed scalar i-k-j accumulate (the seed's original loop shape).
 template <typename S>
-void AccumulateRawNaive(std::int64_t m, std::int64_t n, std::int64_t k,
-                        const double* a, std::int64_t lda, const double* b,
-                        std::int64_t ldb, double* c, std::int64_t ldc) {
+APSPARK_SCALAR_FN void AccumulateRawNaive(std::int64_t m, std::int64_t n,
+                                          std::int64_t k, const double* a,
+                                          std::int64_t lda, const double* b,
+                                          std::int64_t ldb, double* c,
+                                          std::int64_t ldc) {
   // i-k-j order: the inner loop streams rows of B and C, the semiring
   // analogue of the classic GEMM loop ordering — but unblocked: every row
   // of C streams the whole of B through the cache hierarchy.
@@ -124,12 +141,16 @@ void AccumulateRawNaive(std::int64_t m, std::int64_t n, std::int64_t k,
       const double aik = ai[kk];
       if (S::IsZero(aik)) continue;  // no path through kk
       const double* bk = b + kk * ldb;
+      APSPARK_SCALAR_LOOP
       for (std::int64_t j = 0; j < n; ++j) {
         ci[j] = S::Add(ci[j], S::Multiply(aik, bk[j]));
       }
     }
   }
 }
+
+#undef APSPARK_SCALAR_FN
+#undef APSPARK_SCALAR_LOOP
 
 /// Sequential body of the tiled micro-kernel over a row range [i0, i1).
 /// `isa` is the pre-resolved dispatch decision (scalar when an operand

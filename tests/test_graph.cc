@@ -3,10 +3,13 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
+#include <sstream>
 
 #include "graph/csr.h"
 #include "graph/generators.h"
 #include "graph/graph.h"
+#include "graph/io.h"
 #include "graph/shortest_paths.h"
 #include "linalg/kernels.h"
 
@@ -40,6 +43,49 @@ TEST(Graph, DenseAdjacencyDirected) {
   auto a = g.ToDenseAdjacency();
   EXPECT_EQ(a.At(0, 1), 1.0);
   EXPECT_EQ(a.At(1, 0), kInf);
+}
+
+Status ParseEdgeList(const std::string& text) {
+  std::istringstream in(text);
+  return ReadEdgeListText(in).status();
+}
+
+TEST(GraphIo, HeaderDirectedFlagMustBeZeroOrOne) {
+  EXPECT_TRUE(ParseEdgeList("apsp 3 0\n0 1 1\n").ok());
+  EXPECT_TRUE(ParseEdgeList("apsp 3 1\n0 1 1\n").ok());
+  for (const char* flag : {"2", "-1", "x", "1.5", "01"}) {
+    const Status status =
+        ParseEdgeList(std::string("apsp 3 ") + flag + "\n0 1 1\n");
+    EXPECT_EQ(status.code(), StatusCode::kInvalidArgument) << flag;
+  }
+}
+
+TEST(GraphIo, HeaderRejectsVertexCountWhosePlaneOverflows) {
+  // n = 2^30 is the first count whose n * n * 8 bytes overflow int64.
+  for (const char* n : {"3000000000", "1073741824", "9223372036854775807"}) {
+    const Status status = ParseEdgeList(std::string("apsp ") + n + " 0\n");
+    EXPECT_EQ(status.code(), StatusCode::kInvalidArgument) << n;
+    EXPECT_NE(status.message().find("line 1"), std::string::npos) << n;
+  }
+  EXPECT_TRUE(ParseEdgeList("apsp 1073741823 0\n").ok());
+}
+
+TEST(GraphIo, BinaryRejectsNegativeOrHugeVertexCountAndBadFlag) {
+  const std::vector<std::uint8_t> good = SerializeGraph(Graph(3));
+  ASSERT_TRUE(DeserializeGraph(good).ok());
+  constexpr std::size_t kCountOffset = 8;  // after magic + version
+  constexpr std::size_t kDirectedOffset = kCountOffset + sizeof(VertexId);
+  for (const VertexId n : {VertexId{-1}, VertexId{3000000000}}) {
+    std::vector<std::uint8_t> bytes = good;
+    std::memcpy(bytes.data() + kCountOffset, &n, sizeof n);
+    EXPECT_EQ(DeserializeGraph(bytes).status().code(),
+              StatusCode::kInvalidArgument)
+        << n;
+  }
+  std::vector<std::uint8_t> bytes = good;
+  bytes[kDirectedOffset] = 2;
+  EXPECT_EQ(DeserializeGraph(bytes).status().code(),
+            StatusCode::kInvalidArgument);
 }
 
 TEST(Generators, PaperEdgeProbability) {

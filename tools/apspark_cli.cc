@@ -14,6 +14,7 @@
 #include <sys/resource.h>
 
 #include <algorithm>
+#include <charconv>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
@@ -22,6 +23,7 @@
 #include <limits>
 #include <memory>
 #include <optional>
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -982,6 +984,34 @@ int RunModel(const Args& args) {
   return PrintModelReport(args, *request, apsp::SolveModel(args.n, *request));
 }
 
+/// --queries FILE: one "<s> <t>" pair of integer vertex ids per non-blank
+/// line. Any other line is rejected with its number, like a malformed edge
+/// list, rather than silently ending the batch there.
+Result<std::vector<store::DistanceService::Query>> ReadQueries(
+    std::istream& in) {
+  auto parse_id = [](const std::string& token, graph::VertexId& id) {
+    const char* end = token.data() + token.size();
+    const auto [ptr, ec] = std::from_chars(token.data(), end, id);
+    return ec == std::errc() && ptr == end;
+  };
+  std::vector<store::DistanceService::Query> queries;
+  std::string line;
+  for (std::size_t line_no = 1; std::getline(in, line); ++line_no) {
+    std::istringstream fields(line);
+    std::vector<std::string> tokens;
+    for (std::string token; fields >> token;) tokens.push_back(token);
+    if (tokens.empty()) continue;
+    store::DistanceService::Query query;
+    if (tokens.size() != 2 || !parse_id(tokens[0], query.s) ||
+        !parse_id(tokens[1], query.t)) {
+      return InvalidArgumentError("line " + std::to_string(line_no) +
+                                  ": expected '<s> <t>' vertex ids");
+    }
+    queries.push_back(query);
+  }
+  return queries;
+}
+
 int RunServe(const Args& args) {
   if (args.store_dir.empty()) return Usage(args);
 
@@ -1021,9 +1051,9 @@ int RunServe(const Args& args) {
     if (!in) {
       return Fail(NotFoundError("cannot read " + args.queries_file));
     }
-    std::vector<store::DistanceService::Query> queries;
-    graph::VertexId s = 0, t = 0;
-    while (in >> s >> t) queries.push_back({s, t});
+    auto parsed = ReadQueries(in);
+    if (!parsed.ok()) return Fail(parsed.status());
+    const std::vector<store::DistanceService::Query>& queries = *parsed;
     auto answers = svc.DistanceBatch(queries);
     if (!answers.ok()) return Fail(answers.status());
     char line[96];
