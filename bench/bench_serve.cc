@@ -17,7 +17,7 @@
 //
 // Machine-readable results go to BENCH_serve.json (override via
 // APSPARK_BENCH_JSON); bench/check_gates.py gates the "serve" section's
-// Zipf-workload "qps" (higher is better).
+// "qps" of both workloads (higher is better).
 #include <algorithm>
 #include <chrono>
 #include <cmath>

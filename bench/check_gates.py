@@ -90,10 +90,16 @@ GATES = [
      "metric": "fair_makespan_seconds", "better": "lower",
      "tolerance": 0.10},
     # Wall-clock qps on a shared runner: trips only when the hot-vertex
-    # path gets several times slower, not on runner-to-runner variance.
+    # path (zipf) or the cache-miss path (uniform: block read, CRC32C
+    # check, decode) gets several times slower, not on runner-to-runner
+    # variance.
     {"name": "serve zipf qps",
      "file": "BENCH_serve.json",
      "match": {"section": "serve", "workload": "zipf"},
+     "metric": "qps", "better": "higher", "tolerance": 0.80},
+    {"name": "serve uniform qps",
+     "file": "BENCH_serve.json",
+     "match": {"section": "serve", "workload": "uniform"},
      "metric": "qps", "better": "higher", "tolerance": 0.80},
     # The overheads are noisy ratios near zero, where a band around the
     # baseline means nothing: fixed ceilings. A traced solve that is not

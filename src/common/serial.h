@@ -74,7 +74,7 @@ class BinaryReader {
   Result<std::string> ReadString() {
     auto len = Read<std::uint64_t>();
     if (!len.ok()) return len.status();
-    if (pos_ + *len > size_) {
+    if (*len > remaining()) {
       return OutOfRangeError("BinaryReader: string past end of buffer");
     }
     std::string s(reinterpret_cast<const char*>(data_ + pos_),
@@ -88,14 +88,25 @@ class BinaryReader {
   Result<std::vector<T>> ReadVector() {
     auto len = Read<std::uint64_t>();
     if (!len.ok()) return len.status();
-    const std::size_t bytes = static_cast<std::size_t>(*len) * sizeof(T);
-    if (pos_ + bytes > size_) {
+    // Divide rather than multiply: a hostile length must not wrap the
+    // byte count into range.
+    if (*len > remaining() / sizeof(T)) {
       return OutOfRangeError("BinaryReader: vector past end of buffer");
     }
     std::vector<T> v(static_cast<std::size_t>(*len));
-    std::memcpy(v.data(), data_ + pos_, bytes);
-    pos_ += bytes;
+    std::memcpy(v.data(), data_ + pos_, v.size() * sizeof(T));
+    pos_ += v.size() * sizeof(T);
     return v;
+  }
+
+  /// Copies the next `size` bytes into `dst` in one bounds-checked copy.
+  Status ReadRaw(void* dst, std::size_t size) {
+    if (size > remaining()) {
+      return OutOfRangeError("BinaryReader: raw read past end of buffer");
+    }
+    if (size > 0) std::memcpy(dst, data_ + pos_, size);
+    pos_ += size;
+    return Status::Ok();
   }
 
   std::size_t remaining() const noexcept { return size_ - pos_; }

@@ -23,7 +23,9 @@ void CountCopy(bool phantom, std::size_t payload_elems) noexcept {
 }
 
 std::int64_t WordsPerRow(std::int64_t cols) noexcept {
-  return (cols + 63) >> 6;
+  // cols / 64 rounded up, without the cols + 63 that overflows near
+  // INT64_MAX (a decoded header may carry any non-negative width).
+  return (cols >> 6) + ((cols & 63) != 0 ? 1 : 0);
 }
 
 }  // namespace
@@ -199,31 +201,27 @@ Result<DenseBlock> DenseBlock::Deserialize(BinaryReader& reader) {
   if (phantom) {
     return packed ? PackedPhantom(*rows, *cols) : Phantom(*rows, *cols);
   }
+  // rows * per_row * 8 bytes must fit in what is left. Checked by division:
+  // a hostile shape (say 2^32 x 2^30) must not wrap the product into range.
+  const std::int64_t per_row = packed ? WordsPerRow(*cols) : *cols;
+  if (*rows > 0 && static_cast<std::uint64_t>(per_row) >
+                       reader.remaining() / sizeof(std::uint64_t) /
+                           static_cast<std::uint64_t>(*rows)) {
+    return OutOfRangeError(packed ? "DenseBlock: truncated packed payload"
+                                  : "DenseBlock: truncated payload");
+  }
+  const std::size_t count = static_cast<std::size_t>(*rows * per_row);
   if (packed) {
-    const std::int64_t wpr = WordsPerRow(*cols);
-    const std::size_t count = static_cast<std::size_t>(*rows * wpr);
-    if (reader.remaining() < count * sizeof(std::uint64_t)) {
-      return OutOfRangeError("DenseBlock: truncated packed payload");
-    }
     DenseBlock out = PackedBoolean(*rows, *cols);
-    for (std::size_t i = 0; i < count; ++i) {
-      auto v = reader.Read<std::uint64_t>();
-      if (!v.ok()) return v.status();
-      out.words_[i] = *v;
-    }
+    auto status = reader.ReadRaw(out.words_.data(),
+                                 count * sizeof(std::uint64_t));
+    if (!status.ok()) return status;
     CountCopy(/*phantom=*/false, count);
     return out;
   }
-  const std::size_t count = static_cast<std::size_t>(*rows * *cols);
-  if (reader.remaining() < count * sizeof(double)) {
-    return OutOfRangeError("DenseBlock: truncated payload");
-  }
   std::vector<double> data(count);
-  for (std::size_t i = 0; i < count; ++i) {
-    auto v = reader.Read<double>();
-    if (!v.ok()) return v.status();
-    data[i] = *v;
-  }
+  auto status = reader.ReadRaw(data.data(), count * sizeof(double));
+  if (!status.ok()) return status;
   // Materializing a payload from bytes duplicates block data just like a
   // copy constructor would — the zero-copy data plane must not do it on hot
   // paths, so it counts (durability paths sanction it with a CowScope).

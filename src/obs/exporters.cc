@@ -52,6 +52,9 @@ void ExportStoreStats(const store::BlockStore::Stats& s, Registry& registry) {
   gauge("store_bytes_loaded", s.bytes_loaded);
   gauge("store_resident_bytes", s.resident_bytes);
   gauge("store_peak_resident_bytes", s.peak_resident_bytes);
+  gauge("store_miss_read_ns", s.read_ns);
+  gauge("store_miss_verify_ns", s.verify_ns);
+  gauge("store_miss_decode_ns", s.decode_ns);
 }
 
 }  // namespace apspark::obs

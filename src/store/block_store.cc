@@ -1,8 +1,23 @@
 #include "store/block_store.h"
 
+#include <fcntl.h>
+#include <sys/stat.h>
+#include <unistd.h>
+
+#include <array>
+#include <cerrno>
+#include <chrono>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <limits>
+#include <optional>
 #include <utility>
+
+#if defined(__x86_64__) && (defined(__GNUC__) || defined(__clang__))
+#include <nmmintrin.h>
+#define APSPARK_CRC32C_SSE42 1
+#endif
 
 #include "common/serial.h"
 #include "obs/trace.h"
@@ -13,28 +28,154 @@ namespace fs = std::filesystem;
 
 namespace {
 
-constexpr std::uint64_t kBlockMagic = 0x41505350424c4b31ULL;     // "APSPBLK1"
+constexpr std::uint64_t kBlockMagic = 0x41505350424c4b32ULL;     // "APSPBLK2"
 constexpr std::uint64_t kManifestMagic = 0x415053504d414e31ULL;  // "APSPMAN1"
-constexpr std::uint32_t kManifestVersion = 1;
+// Version 1 checksummed with FNV-1a; version 2 with CRC32C.
+constexpr std::uint32_t kManifestVersion = 2;
 constexpr char kManifestFile[] = "MANIFEST.bin";
 
-Result<std::vector<std::uint8_t>> ReadFileBytes(const fs::path& path) {
-  std::error_code ec;
-  if (!fs::exists(path, ec) || ec) {
-    return NotFoundError("no such file: " + path.string());
+// CRC32C (Castagnoli): reflected polynomial 0x82F63B78, initial value and
+// final xor 0xFFFFFFFF — the polynomial SSE4.2's crc32 instruction computes.
+constexpr std::array<std::uint32_t, 256> MakeCrc32cTable() {
+  std::array<std::uint32_t, 256> table{};
+  for (std::uint32_t i = 0; i < 256; ++i) {
+    std::uint32_t crc = i;
+    for (int bit = 0; bit < 8; ++bit) {
+      crc = (crc >> 1) ^ ((crc & 1) != 0 ? 0x82F63B78u : 0u);
+    }
+    table[i] = crc;
   }
-  std::ifstream in(path, std::ios::binary);
-  if (!in) {
-    return StoreCorruptError("cannot open " + path.string());
+  return table;
+}
+constexpr std::array<std::uint32_t, 256> kCrc32cTable = MakeCrc32cTable();
+
+#ifdef APSPARK_CRC32C_SSE42
+// The crc32 functions below are compiled for SSE4.2 whatever the file's
+// baseline ISA, and called only after a CPUID check, so a -march-neutral
+// build still takes this path.
+
+/// Feeding `len` zero bytes to a raw (un-inverted) CRC32C register, as four
+/// byte-indexed tables: the map is linear, so it is the XOR of the images
+/// of the register's bits.
+class ZeroBytesShift {
+ public:
+  explicit ZeroBytesShift(std::size_t len) {
+    std::array<std::uint32_t, 32> bit_image{};
+    for (int bit = 0; bit < 32; ++bit) {
+      std::uint32_t reg = std::uint32_t{1} << bit;
+      for (std::size_t i = 0; i < len; ++i) {
+        reg = (reg >> 8) ^ kCrc32cTable[reg & 0xFFu];
+      }
+      bit_image[static_cast<std::size_t>(bit)] = reg;
+    }
+    for (std::size_t k = 0; k < 4; ++k) {
+      for (std::size_t v = 0; v < 256; ++v) {
+        std::uint32_t image = 0;
+        for (std::size_t j = 0; j < 8; ++j) {
+          if (((v >> j) & 1) != 0) image ^= bit_image[8 * k + j];
+        }
+        table_[k][v] = image;
+      }
+    }
   }
-  in.seekg(0, std::ios::end);
-  const auto size = static_cast<std::size_t>(in.tellg());
-  in.seekg(0, std::ios::beg);
-  std::vector<std::uint8_t> bytes(size);
-  if (size > 0 &&
-      !in.read(reinterpret_cast<char*>(bytes.data()),
-               static_cast<std::streamsize>(size))) {
-    return StoreCorruptError("short read of " + path.string());
+
+  std::uint32_t operator()(std::uint32_t reg) const noexcept {
+    return table_[0][reg & 0xFFu] ^ table_[1][(reg >> 8) & 0xFFu] ^
+           table_[2][(reg >> 16) & 0xFFu] ^ table_[3][reg >> 24];
+  }
+
+ private:
+  std::array<std::array<std::uint32_t, 256>, 4> table_{};
+};
+
+std::uint64_t LoadWord(const std::uint8_t* p) noexcept {
+  std::uint64_t word;
+  std::memcpy(&word, p, sizeof(word));
+  return word;
+}
+
+/// Runs whole groups of three `lane`-byte lanes as three independent crc32
+/// chains, which hides the instruction's latency, then shifts each lane's
+/// CRC past the lanes after it. Advances `data` and `size`.
+__attribute__((target("sse4.2"))) std::uint32_t Crc32cLanes(
+    std::uint32_t crc, const std::uint8_t*& data, std::size_t& size,
+    std::size_t lane, const ZeroBytesShift& shift) noexcept {
+  for (; size >= 3 * lane; data += 3 * lane, size -= 3 * lane) {
+    std::uint64_t crc0 = crc;
+    std::uint64_t crc1 = 0;
+    std::uint64_t crc2 = 0;
+    for (std::size_t i = 0; i < lane; i += sizeof(std::uint64_t)) {
+      crc0 = _mm_crc32_u64(crc0, LoadWord(data + i));
+      crc1 = _mm_crc32_u64(crc1, LoadWord(data + lane + i));
+      crc2 = _mm_crc32_u64(crc2, LoadWord(data + 2 * lane + i));
+    }
+    crc = shift(shift(static_cast<std::uint32_t>(crc0)) ^
+                static_cast<std::uint32_t>(crc1)) ^
+          static_cast<std::uint32_t>(crc2);
+  }
+  return crc;
+}
+
+__attribute__((target("sse4.2"))) std::uint32_t Crc32cSse42(
+    const std::uint8_t* data, std::size_t size) noexcept {
+  constexpr std::size_t kLongLane = 8192;
+  constexpr std::size_t kShortLane = 256;
+  static const ZeroBytesShift long_shift(kLongLane);
+  static const ZeroBytesShift short_shift(kShortLane);
+  std::uint32_t crc = 0xFFFFFFFFu;
+  crc = Crc32cLanes(crc, data, size, kLongLane, long_shift);
+  crc = Crc32cLanes(crc, data, size, kShortLane, short_shift);
+  std::uint64_t crc64 = crc;
+  for (; size >= sizeof(std::uint64_t);
+       data += sizeof(std::uint64_t), size -= sizeof(std::uint64_t)) {
+    crc64 = _mm_crc32_u64(crc64, LoadWord(data));
+  }
+  crc = static_cast<std::uint32_t>(crc64);
+  for (; size > 0; ++data, --size) crc = _mm_crc32_u8(crc, *data);
+  return ~crc;
+}
+#endif
+
+std::uint64_t NowNs() noexcept {
+  return static_cast<std::uint64_t>(
+      std::chrono::duration_cast<std::chrono::nanoseconds>(
+          std::chrono::steady_clock::now().time_since_epoch())
+          .count());
+}
+
+/// Reads all of `path` with one open, one fstat and a pread loop. When
+/// `expected` is set, any other file size is rejected before a byte is
+/// read. ENOENT is kNotFound; every other failure is kStoreCorrupt.
+Result<std::vector<std::uint8_t>> ReadFileBytes(
+    const std::string& path, std::optional<std::uint64_t> expected) {
+  const int fd = ::open(path.c_str(), O_RDONLY | O_CLOEXEC);
+  if (fd < 0) {
+    const int err = errno;
+    if (err == ENOENT) return NotFoundError("no such file: " + path);
+    return StoreCorruptError("cannot open " + path + ": " +
+                             std::strerror(err));
+  }
+  struct Closer {
+    int fd;
+    ~Closer() { ::close(fd); }
+  } closer{fd};
+  struct stat st;
+  if (::fstat(fd, &st) != 0 || !S_ISREG(st.st_mode)) {
+    return StoreCorruptError(path + " is not a readable regular file");
+  }
+  const auto size = static_cast<std::uint64_t>(st.st_size);
+  if (expected.has_value() && size != *expected) {
+    return StoreCorruptError(path + ": file is " + std::to_string(size) +
+                             " bytes, want " + std::to_string(*expected));
+  }
+  std::vector<std::uint8_t> bytes(static_cast<std::size_t>(size));
+  std::size_t done = 0;
+  while (done < bytes.size()) {
+    const ssize_t got = ::pread(fd, bytes.data() + done, bytes.size() - done,
+                                static_cast<off_t>(done));
+    if (got < 0 && errno == EINTR) continue;
+    if (got <= 0) return StoreCorruptError("short read of " + path);
+    done += static_cast<std::size_t>(got);
   }
   return bytes;
 }
@@ -70,13 +211,29 @@ const char* PlaneName(Plane plane) noexcept {
   return "unknown";
 }
 
-std::uint64_t Fnv1a(const std::uint8_t* data, std::size_t size) noexcept {
-  std::uint64_t hash = 0xcbf29ce484222325ULL;
+std::uint32_t Crc32cPortable(const std::uint8_t* data,
+                            std::size_t size) noexcept {
+  std::uint32_t crc = 0xFFFFFFFFu;
   for (std::size_t i = 0; i < size; ++i) {
-    hash ^= data[i];
-    hash *= 0x100000001b3ULL;
+    crc = (crc >> 8) ^ kCrc32cTable[(crc ^ data[i]) & 0xFFu];
   }
-  return hash;
+  return ~crc;
+}
+
+bool Crc32cHasHardware() noexcept {
+#ifdef APSPARK_CRC32C_SSE42
+  static const bool has_sse42 = __builtin_cpu_supports("sse4.2");
+  return has_sse42;
+#else
+  return false;
+#endif
+}
+
+std::uint32_t Crc32c(const std::uint8_t* data, std::size_t size) noexcept {
+#ifdef APSPARK_CRC32C_SSE42
+  if (Crc32cHasHardware()) return Crc32cSse42(data, size);
+#endif
+  return Crc32cPortable(data, size);
 }
 
 BlockStore::BlockStore(std::string dir, StoreManifest manifest,
@@ -167,7 +324,7 @@ Status BlockStore::Put(Plane plane, std::int64_t I, std::int64_t J,
   meta.I = I;
   meta.J = J;
   meta.payload_bytes = payload.size();
-  meta.checksum = Fnv1a(payload.buffer().data(), payload.size());
+  meta.checksum = Crc32c(payload.buffer().data(), payload.size());
 
   BinaryWriter file;
   file.Write(kBlockMagic);
@@ -209,8 +366,7 @@ Status BlockStore::Seal() {
     body.Write(e.payload_bytes);
     body.Write(e.checksum);
   }
-  const std::uint64_t checksum = Fnv1a(body.buffer().data(), body.size());
-  body.Write(checksum);
+  body.Write(Crc32c(body.buffer().data(), body.size()));
   auto status =
       WriteFileBytes(fs::path(dir_) / kManifestFile, body.buffer());
   if (!status.ok()) return status;
@@ -222,30 +378,38 @@ Status BlockStore::Seal() {
 
 Result<std::unique_ptr<BlockStore>> BlockStore::Open(const std::string& dir,
                                                      const Options& options) {
-  auto bytes = ReadFileBytes(fs::path(dir) / kManifestFile);
+  auto bytes = ReadFileBytes((fs::path(dir) / kManifestFile).string(),
+                             std::nullopt);
   if (!bytes.ok()) return bytes.status();
-  // Trailing checksum covers the whole body: any byte flip or truncation of
-  // the manifest is caught before a single field is trusted.
-  if (bytes->size() < sizeof(std::uint64_t)) {
+  // Magic and version are read first, only to name a store of another
+  // format; no other field is trusted before the trailing checksum over the
+  // whole body passes, so any byte flip or truncation is caught first.
+  BinaryReader prefix(*bytes);
+  auto magic = prefix.Read<std::uint64_t>();
+  if (!magic.ok() || *magic != kManifestMagic) {
+    return StoreCorruptError("bad manifest magic in " + dir);
+  }
+  auto version = prefix.Read<std::uint32_t>();
+  if (!version.ok() || prefix.remaining() < sizeof(std::uint32_t)) {
     return StoreCorruptError("manifest truncated in " + dir);
   }
-  const std::size_t body_size = bytes->size() - sizeof(std::uint64_t);
-  std::uint64_t stored_checksum = 0;
+  if (*version != kManifestVersion) {
+    return StoreCorruptError("unsupported manifest version " +
+                             std::to_string(*version) + " in " + dir +
+                             " (this build reads version " +
+                             std::to_string(kManifestVersion) + ")");
+  }
+  const std::size_t body_size = bytes->size() - sizeof(std::uint32_t);
+  std::uint32_t stored_checksum = 0;
   std::memcpy(&stored_checksum, bytes->data() + body_size,
-              sizeof(std::uint64_t));
-  if (Fnv1a(bytes->data(), body_size) != stored_checksum) {
+              sizeof(stored_checksum));
+  if (Crc32c(bytes->data(), body_size) != stored_checksum) {
     return StoreCorruptError("manifest checksum mismatch in " + dir);
   }
 
   BinaryReader reader(bytes->data(), body_size);
-  auto magic = reader.Read<std::uint64_t>();
-  if (!magic.ok() || *magic != kManifestMagic) {
-    return StoreCorruptError("bad manifest magic in " + dir);
-  }
-  auto version = reader.Read<std::uint32_t>();
-  if (!version.ok() || *version != kManifestVersion) {
-    return StoreCorruptError("unsupported manifest version in " + dir);
-  }
+  (void)reader.Read<std::uint64_t>();  // magic, checked above
+  (void)reader.Read<std::uint32_t>();  // version, checked above
   StoreManifest manifest;
   auto n = reader.Read<std::int64_t>();
   auto b = reader.Read<std::int64_t>();
@@ -265,6 +429,13 @@ Result<std::unique_ptr<BlockStore>> BlockStore::Open(const std::string& dir,
   if (manifest.n <= 0 || manifest.block_size <= 0) {
     return StoreCorruptError("manifest geometry invalid in " + dir);
   }
+  constexpr std::size_t kEntryBytes = sizeof(std::uint8_t) +
+                                      2 * sizeof(std::int64_t) +
+                                      sizeof(std::uint64_t) +
+                                      sizeof(std::uint32_t);
+  if (*count > reader.remaining() / kEntryBytes) {
+    return StoreCorruptError("manifest index truncated in " + dir);
+  }
   manifest.entries.reserve(static_cast<std::size_t>(*count));
   for (std::uint64_t i = 0; i < *count; ++i) {
     StoreManifest::Entry e;
@@ -272,7 +443,7 @@ Result<std::unique_ptr<BlockStore>> BlockStore::Open(const std::string& dir,
     auto bi = reader.Read<std::int64_t>();
     auto bj = reader.Read<std::int64_t>();
     auto payload = reader.Read<std::uint64_t>();
-    auto checksum = reader.Read<std::uint64_t>();
+    auto checksum = reader.Read<std::uint32_t>();
     if (!plane.ok() || !bi.ok() || !bj.ok() || !payload.ok() ||
         !checksum.ok()) {
       return StoreCorruptError("manifest index truncated in " + dir);
@@ -292,23 +463,25 @@ Result<std::unique_ptr<BlockStore>> BlockStore::Open(const std::string& dir,
 }
 
 Result<linalg::DenseBlock> BlockStore::LoadBlockFile(
-    const StoreManifest::Entry& meta) const {
-  auto bytes = ReadFileBytes(BlockPath(meta));
-  if (!bytes.ok()) return bytes.status();
-
+    const StoreManifest::Entry& meta, LoadTimes& times) const {
   // Fixed header + declared payload + trailing checksum must account for
-  // the exact file size — a truncated or padded file never parses.
+  // the exact file size — a truncated or padded file is never read.
   constexpr std::size_t kHeaderBytes =
       sizeof(std::uint64_t) + sizeof(std::uint8_t) + 2 * sizeof(std::int64_t) +
       sizeof(std::uint64_t);
-  const std::size_t expected =
-      kHeaderBytes + static_cast<std::size_t>(meta.payload_bytes) +
-      sizeof(std::uint64_t);
-  if (bytes->size() != expected) {
-    return StoreCorruptError(EntryDescription(meta) + ": file is " +
-                             std::to_string(bytes->size()) + " bytes, want " +
-                             std::to_string(expected));
+  if (meta.payload_bytes >
+      std::numeric_limits<std::uint64_t>::max() - kHeaderBytes -
+          sizeof(std::uint32_t)) {
+    return StoreCorruptError(EntryDescription(meta) +
+                             ": manifest payload size out of range");
   }
+  const std::uint64_t expected =
+      kHeaderBytes + meta.payload_bytes + sizeof(std::uint32_t);
+  const std::uint64_t t0 = NowNs();
+  auto bytes = ReadFileBytes(BlockPath(meta), expected);
+  const std::uint64_t t1 = NowNs();
+  times.read_ns += t1 - t0;
+  if (!bytes.ok()) return bytes.status();
 
   BinaryReader reader(*bytes);
   auto magic = reader.Read<std::uint64_t>();
@@ -327,23 +500,25 @@ Result<linalg::DenseBlock> BlockStore::LoadBlockFile(
     return StoreCorruptError(EntryDescription(meta) +
                              ": header disagrees with manifest");
   }
-  const std::uint8_t* payload =
-      bytes->data() + kHeaderBytes;
-  std::uint64_t stored_checksum = 0;
-  std::memcpy(&stored_checksum,
-              payload + static_cast<std::size_t>(meta.payload_bytes),
-              sizeof(std::uint64_t));
-  if (Fnv1a(payload, static_cast<std::size_t>(meta.payload_bytes)) !=
-      stored_checksum) {
+  const std::uint8_t* payload = bytes->data() + kHeaderBytes;
+  const auto payload_size = static_cast<std::size_t>(meta.payload_bytes);
+  std::uint32_t stored_checksum = 0;
+  std::memcpy(&stored_checksum, payload + payload_size,
+              sizeof(stored_checksum));
+  const bool intact = Crc32c(payload, payload_size) == stored_checksum &&
+                      stored_checksum == meta.checksum;
+  const std::uint64_t t2 = NowNs();
+  times.verify_ns += t2 - t1;
+  if (!intact) {
     return StoreCorruptError(EntryDescription(meta) + ": checksum mismatch");
   }
 
-  BinaryReader payload_reader(payload,
-                              static_cast<std::size_t>(meta.payload_bytes));
+  BinaryReader payload_reader(payload, payload_size);
   // Materializing from durable bytes is a sanctioned copy, exactly like the
   // checkpoint reload path (the zero-copy audit tracks hot-path copies).
   linalg::CowScope cow;
   auto block = linalg::DenseBlock::Deserialize(payload_reader);
+  times.decode_ns += NowNs() - t2;
   if (!block.ok()) {
     return StoreCorruptError(EntryDescription(meta) + ": payload malformed (" +
                              block.status().message() + ")");
@@ -401,6 +576,7 @@ Result<BlockStore::Pin> BlockStore::Fetch(Plane plane, std::int64_t I,
     entry.load_error = Status::Ok();
     ++stats_.misses;
     lock.unlock();
+    LoadTimes times;
     Result<linalg::DenseBlock> loaded = [&] {
       obs::RealSpanScope span(
           "store-load",
@@ -411,9 +587,12 @@ Result<BlockStore::Pin> BlockStore::Fetch(Plane plane, std::int64_t I,
                     ",\"J\":" + std::to_string(entry.meta.J) +
                     ",\"bytes\":" + std::to_string(entry.meta.payload_bytes)
               : std::string());
-      return LoadBlockFile(entry.meta);
+      return LoadBlockFile(entry.meta, times);
     }();
     lock.lock();
+    stats_.read_ns += times.read_ns;
+    stats_.verify_ns += times.verify_ns;
+    stats_.decode_ns += times.decode_ns;
     if (!loaded.ok()) {
       entry.state = EntryState::kCold;
       entry.load_error = loaded.status();

@@ -11,15 +11,22 @@
 // materialized, reference-counted, file-backed table blocks — adapted to
 // this repository's DenseBlock serialization.)
 //
-// On-disk layout:
-//   <dir>/MANIFEST.bin        header + block index + trailing checksum
+// On-disk layout (format version 2):
+//   <dir>/MANIFEST.bin        magic, version, header, block index, CRC32C
 //   <dir>/d_<I>_<J>.blk       distance-plane block (I, J)
 //   <dir>/p_<I>_<J>.blk       successor-plane ("paths") block (I, J)
 // Each block file: magic, plane, I, J, payload byte count, the payload
 // (DenseBlock::Serialize — the same packed-boolean-aware encoding the
 // sparklet data plane sizes through sparklet/serde.h, so a bit-packed
-// boolean solve persists its 64-per-word footprint), then an FNV-1a
-// checksum of the payload.
+// boolean solve persists its 64-per-word footprint), then a CRC32C of the
+// payload, which the manifest index records too. Version 1 stores
+// (FNV-1a checksums) are rejected with a message naming the version.
+//
+// Miss cost: a cache miss reads the file with one open, one fstat and a
+// pread loop, checks its size, header and CRC32C (SSE4.2 crc32 where the
+// CPU has it, a table otherwise), then decodes the payload with one bulk
+// copy. A 64x64 min-plus block (32 785-byte payload) costs about 11 us on a
+// 4-vCPU AVX-512 Xeon; Stats splits it into read, verify and decode time.
 //
 // Caching and ref counting:
 //   Fetch() returns a Pin — a lease on the materialized block. While any
@@ -33,8 +40,9 @@
 //
 // Error model: every failure routes through Status — kNotFound for a
 // missing directory/manifest/block, kStoreCorrupt for anything that fails
-// validation (bad magic, size mismatch, checksum mismatch, truncated or
-// malformed payload). The store never throws for I/O-shaped failures.
+// validation (bad magic or version, size mismatch, checksum mismatch,
+// truncated or malformed payload). The store never throws for I/O-shaped
+// failures.
 //
 // Thread safety: all reader methods are safe to call concurrently; a miss
 // loads the file outside the store mutex and concurrent requests for the
@@ -83,7 +91,7 @@ struct StoreManifest {
     std::int64_t I = 0;
     std::int64_t J = 0;
     std::uint64_t payload_bytes = 0;
-    std::uint64_t checksum = 0;
+    std::uint32_t checksum = 0;  // CRC32C of the payload
   };
   std::vector<Entry> entries;
 };
@@ -106,6 +114,11 @@ class BlockStore {
     std::uint64_t bytes_loaded = 0;
     std::uint64_t resident_bytes = 0;
     std::uint64_t peak_resident_bytes = 0;
+    /// Where the misses went: file read, size/header/checksum checks, and
+    /// payload decode, summed over every load (failed ones included).
+    std::uint64_t read_ns = 0;
+    std::uint64_t verify_ns = 0;
+    std::uint64_t decode_ns = 0;
   };
 
   ~BlockStore();
@@ -209,10 +222,17 @@ class BlockStore {
   BlockStore(std::string dir, StoreManifest manifest, Options options,
              bool writable);
 
+  struct LoadTimes {
+    std::uint64_t read_ns = 0;
+    std::uint64_t verify_ns = 0;
+    std::uint64_t decode_ns = 0;
+  };
+
   std::string BlockPath(const StoreManifest::Entry& meta) const;
-  /// Reads + validates one block file (no lock held).
-  Result<linalg::DenseBlock> LoadBlockFile(
-      const StoreManifest::Entry& meta) const;
+  /// Reads + validates one block file (no lock held), adding the time each
+  /// step took to `times`.
+  Result<linalg::DenseBlock> LoadBlockFile(const StoreManifest::Entry& meta,
+                                           LoadTimes& times) const;
   /// Evicts cold LRU entries until residency fits the cap (lock held).
   void EvictToFit();
   void Unpin(void* entry_handle);
@@ -231,7 +251,13 @@ class BlockStore {
   Stats stats_;
 };
 
-/// FNV-1a over a byte range — the block-file payload checksum.
-std::uint64_t Fnv1a(const std::uint8_t* data, std::size_t size) noexcept;
+/// CRC32C (Castagnoli) of a byte range: the block-payload and manifest
+/// checksum. Uses the SSE4.2 crc32 instruction when the CPU has it.
+std::uint32_t Crc32c(const std::uint8_t* data, std::size_t size) noexcept;
+/// The table-driven CRC32C Crc32c falls back to; same value everywhere.
+std::uint32_t Crc32cPortable(const std::uint8_t* data,
+                             std::size_t size) noexcept;
+/// True when Crc32c runs on the SSE4.2 crc32 instruction.
+bool Crc32cHasHardware() noexcept;
 
 }  // namespace apspark::store

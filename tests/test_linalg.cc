@@ -4,6 +4,7 @@
 
 #include <cmath>
 #include <cstring>
+#include <limits>
 
 #include "common/rng.h"
 #include "linalg/cost_model.h"
@@ -98,6 +99,68 @@ TEST(DenseBlock, SerializeRoundTrip) {
   auto copy = DenseBlock::Deserialize(r);
   ASSERT_TRUE(copy.ok());
   EXPECT_TRUE(copy->ApproxEquals(b));
+}
+
+TEST(DenseBlock, BulkDecodeIsBitwiseForDenseAndPacked) {
+  DenseBlock packed = DenseBlock::PackedBoolean(9, 70);
+  for (std::int64_t r = 0; r < 9; ++r) packed.Set(r, (r * 13) % 70, 1.0);
+  for (const DenseBlock& b : {RandomBlock(6, 11, 8), packed}) {
+    BinaryWriter w;
+    b.Serialize(w);
+    BinaryReader r(w.buffer());
+    auto copy = DenseBlock::Deserialize(r);
+    ASSERT_TRUE(copy.ok()) << copy.status().ToString();
+    EXPECT_TRUE(r.AtEnd());
+    EXPECT_EQ(copy->is_packed(), b.is_packed());
+    test::ExpectBitwiseEqual(*copy, b, "decode");
+  }
+}
+
+/// A serialized header (rows, cols, flags) followed by `payload` bytes.
+std::vector<std::uint8_t> ShapeHeader(std::int64_t rows, std::int64_t cols,
+                                      std::uint8_t flags,
+                                      std::size_t payload) {
+  BinaryWriter w;
+  w.Write(rows);
+  w.Write(cols);
+  w.Write(flags);
+  const std::vector<std::uint8_t> zeros(payload, 0);
+  w.WriteRaw(zeros.data(), zeros.size());
+  return std::move(w).TakeBuffer();
+}
+
+TEST(DenseBlock, DeserializeRejectsShapesThePayloadCannotHold) {
+  constexpr std::uint8_t kDense = 0;
+  constexpr std::uint8_t kPacked = 2;
+  constexpr std::int64_t kMax = std::numeric_limits<std::int64_t>::max();
+  struct Case {
+    std::int64_t rows, cols;
+    std::uint8_t flags;
+  };
+  // rows * cols * 8 wraps to 0 for the first two: a multiply-then-compare
+  // bound check passes them and the allocation throws.
+  for (const Case c : {Case{std::int64_t{1} << 32, std::int64_t{1} << 30,
+                            kDense},
+                       Case{std::int64_t{1} << 32, std::int64_t{1} << 36,
+                            kPacked},
+                       Case{kMax, kMax, kDense}, Case{1, kMax, kPacked},
+                       Case{2, 2, kDense}, Case{2, 65, kPacked}}) {
+    const auto bytes = ShapeHeader(c.rows, c.cols, c.flags, 24);
+    BinaryReader r(bytes);
+    auto block = DenseBlock::Deserialize(r);
+    EXPECT_EQ(block.status().code(), StatusCode::kOutOfRange)
+        << c.rows << " x " << c.cols << " flags " << int{c.flags};
+  }
+  // Shapes with no elements need no payload, however wide.
+  for (const Case c : {Case{0, kMax, kDense}, Case{kMax, 0, kDense},
+                       Case{0, kMax, kPacked}}) {
+    const auto bytes = ShapeHeader(c.rows, c.cols, c.flags, 0);
+    BinaryReader r(bytes);
+    auto block = DenseBlock::Deserialize(r);
+    ASSERT_TRUE(block.ok()) << block.status().ToString();
+    EXPECT_EQ(block->rows(), c.rows);
+    EXPECT_EQ(block->cols(), c.cols);
+  }
 }
 
 TEST(DenseBlock, PhantomSerializeKeepsShapeAndLogicalSize) {

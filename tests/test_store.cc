@@ -220,6 +220,111 @@ TEST(BlockStore, CorruptAndTruncatedFilesAreRejected) {
             StatusCode::kStoreCorrupt);
 }
 
+TEST(BlockStore, VersionOneManifestIsRejectedNamingTheVersion) {
+  TempStoreDir dir("version1");
+  {
+    auto writer = store::BlockStore::Create(dir.path(), TinyManifest());
+    ASSERT_TRUE(writer.ok());
+    linalg::DenseBlock block(4, 4, 1.0);
+    ASSERT_TRUE((*writer)->Put(store::Plane::kDistance, 0, 0, block).ok());
+    ASSERT_TRUE((*writer)->Seal().ok());
+  }
+  // The version follows the 8-byte magic. A store written before CRC32C
+  // carries version 1 (and FNV-1a checksums, which no longer verify).
+  {
+    std::fstream f(fs::path(dir.path()) / "MANIFEST.bin",
+                   std::ios::binary | std::ios::in | std::ios::out);
+    ASSERT_TRUE(f.is_open());
+    f.seekp(8);
+    const std::uint32_t old_version = 1;
+    f.write(reinterpret_cast<const char*>(&old_version),
+            sizeof(old_version));
+  }
+  auto opened = store::BlockStore::Open(dir.path());
+  EXPECT_EQ(opened.status().code(), StatusCode::kStoreCorrupt);
+  EXPECT_NE(opened.status().message().find("unsupported manifest version 1"),
+            std::string::npos)
+      << opened.status().ToString();
+}
+
+TEST(BlockStore, MissTimesAccumulateOnMissesOnly) {
+  TempStoreDir dir("misstimes");
+  {
+    auto writer = store::BlockStore::Create(dir.path(), TinyManifest());
+    ASSERT_TRUE(writer.ok());
+    linalg::DenseBlock block(4, 4, 2.0);
+    ASSERT_TRUE((*writer)->Put(store::Plane::kDistance, 0, 0, block).ok());
+    ASSERT_TRUE((*writer)->Seal().ok());
+  }
+  auto reader = store::BlockStore::Open(dir.path());
+  ASSERT_TRUE(reader.ok());
+  ASSERT_TRUE((*reader)->Fetch(store::Plane::kDistance, 0, 0).ok());
+  const auto after_miss = (*reader)->stats();
+  EXPECT_EQ(after_miss.misses, 1u);
+  EXPECT_GT(after_miss.read_ns + after_miss.verify_ns + after_miss.decode_ns,
+            0u);
+  ASSERT_TRUE((*reader)->Fetch(store::Plane::kDistance, 0, 0).ok());
+  const auto after_hit = (*reader)->stats();
+  EXPECT_EQ(after_hit.hits, 1u);
+  EXPECT_EQ(after_hit.read_ns, after_miss.read_ns);
+  EXPECT_EQ(after_hit.verify_ns, after_miss.verify_ns);
+  EXPECT_EQ(after_hit.decode_ns, after_miss.decode_ns);
+}
+
+TEST(Crc32c, KnownAnswers) {
+  const std::string check = "123456789";
+  const auto* digits = reinterpret_cast<const std::uint8_t*>(check.data());
+  const std::vector<std::uint8_t> zeros(32, 0);
+  EXPECT_EQ(store::Crc32c(digits, check.size()), 0xE3069283u);
+  EXPECT_EQ(store::Crc32cPortable(digits, check.size()), 0xE3069283u);
+  EXPECT_EQ(store::Crc32c(zeros.data(), zeros.size()), 0x8A9136AAu);
+  EXPECT_EQ(store::Crc32cPortable(zeros.data(), zeros.size()), 0x8A9136AAu);
+  EXPECT_EQ(store::Crc32c(nullptr, 0), 0u);
+}
+
+TEST(Crc32c, HardwarePathIsCompiledInOnEveryX86Build) {
+#if defined(__x86_64__)
+  // Holds without -march flags too: the SSE4.2 path is picked at run time.
+  EXPECT_EQ(store::Crc32cHasHardware(),
+            static_cast<bool>(__builtin_cpu_supports("sse4.2")));
+#else
+  GTEST_SKIP() << "no hardware CRC32C path on this architecture";
+#endif
+}
+
+TEST(Crc32c, HardwareAndPortablePathsAgree) {
+  if (!store::Crc32cHasHardware()) {
+    GTEST_SKIP() << "no hardware CRC32C on this host";
+  }
+  const std::uint64_t seed = 0xc5c32cULL;
+  APSPARK_SEEDED_CASE(seed);
+  Xoshiro256 rng(seed);
+  constexpr std::size_t kMaxLength = 100000;
+  std::vector<std::uint8_t> bytes(kMaxLength + 8);
+  for (auto& byte : bytes) byte = static_cast<std::uint8_t>(rng.NextBounded(256));
+  // Lengths at the edges of the three-lane groups (3 x 8192, 3 x 256) and
+  // of the 8-byte words, then random ones; every start offset mod 8.
+  std::vector<std::size_t> lengths;
+  for (std::size_t edge : {std::size_t{0}, std::size_t{768},
+                           std::size_t{24576}, std::size_t{24576 + 768}}) {
+    for (std::size_t d = 0; d < 10; ++d) lengths.push_back(edge + d);
+    if (edge >= 5) {
+      for (std::size_t d = 1; d < 5; ++d) lengths.push_back(edge - d);
+    }
+  }
+  for (int i = 0; i < 200; ++i) {
+    lengths.push_back(
+        static_cast<std::size_t>(rng.NextBounded(kMaxLength + 1)));
+  }
+  for (const std::size_t length : lengths) {
+    const auto offset = static_cast<std::size_t>(rng.NextBounded(8));
+    const std::uint8_t* data = bytes.data() + offset;
+    ASSERT_EQ(store::Crc32c(data, length),
+              store::Crc32cPortable(data, length))
+        << "length " << length << " at offset " << offset;
+  }
+}
+
 TEST(BlockStore, EvictionKeepsResidencyUnderCapAndBalancesAccountant) {
   const std::uint64_t seed = 0xe71c;
   APSPARK_SEEDED_CASE(seed);

@@ -1142,6 +1142,16 @@ int RunServe(const Args& args) {
         FormatBytes(stats.resident_bytes).c_str(),
         FormatBytes(stats.peak_resident_bytes).c_str(),
         FormatBytes(options.store_options.cache_capacity_bytes).c_str());
+    if (stats.misses > 0) {
+      const auto per_miss_us = [&](std::uint64_t ns) {
+        return static_cast<double>(ns) / 1e3 /
+               static_cast<double>(stats.misses);
+      };
+      std::printf("miss: read %.1f us, verify %.1f us, decode %.1f us "
+                  "(mean per miss)\n",
+                  per_miss_us(stats.read_ns), per_miss_us(stats.verify_ns),
+                  per_miss_us(stats.decode_ns));
+    }
   }
 
   for (const auto& [s, t] : args.path_queries) {
